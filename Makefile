@@ -3,7 +3,7 @@ GO ?= go
 # Packages with dedicated concurrent paths: they get a -race pass in check.
 RACE_PKGS = ./internal/mat ./internal/nn ./internal/dcgm ./internal/mi ./internal/neighbors ./internal/stats ./internal/sched ./internal/backend/... ./internal/governor ./internal/trace ./internal/serve ./internal/fleet ./internal/router ./internal/obs
 
-.PHONY: all build test race bench-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
+.PHONY: all build test race alloc-pins bench-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
 
 all: build
 
@@ -30,16 +30,38 @@ race:
 	$(GO) test -race -count=1 -run 'Deterministic|Concurrent|Singleflight|PlanCache|BatchSweep|Grid' ./internal/core
 	$(GO) test -race -count=1 -run 'Singleflight' ./internal/experiments
 
+# alloc-pins reruns every 0-alloc contract ten times at GOMAXPROCS=1 and
+# at GOMAXPROCS=2: the fleet event loop's steady segment, the plan-cache
+# and server hit paths, and the governor step and re-pin benchmarks.
+# Per-P runtime state (sync.Pool caches, goroutine migration between Ps)
+# only shows with more than one P, and only now and then. Each setting
+# gets its own process rather than -cpu 1,2: raising GOMAXPROCS inside a
+# process makes the runtime start an OS thread for the new P at some later
+# wake-up, and the process-wide malloc counter sees that thread's runtime
+# structures (5 objects) in whatever window happens to be open.
+# Expected false failures: about 1 fleet run in 200 at GOMAXPROCS=2
+# still counts a few runtime-internal allocations (ROADMAP, Blocking),
+# so this target goes red about 1 time in 20 with no program fault.
+# Rerun it before treating a red result as a regression.
+alloc-pins:
+	for p in 1 2; do \
+		GOMAXPROCS=$$p $(GO) test -count=10 -run 'TestSimulateSteadyStateZeroAlloc' ./internal/fleet || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=10 -run 'ZeroAlloc' ./internal/core ./internal/serve || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=10 -run '^$$' -bench 'GovernorStep|PhaseRePin' -benchtime=1x ./internal/governor || exit 1; \
+	done
+
 # bench-smoke compiles and runs each hot-path benchmark once, catching
 # benchmark bit-rot without paying for stable measurements. The mi run
 # covers the BENCH_mi.json scaling table (tree and brute, n up to 12k);
 # the core/sched run covers the BENCH_serve.json serving-path table; the
 # replay run covers the BENCH_backend.json trace-serving overhead table;
 # the core miss/batch and serve runs cover the BENCH_concurrency.json
-# concurrent-serving table; the Sweep1D/Sweep2D arms plus the mat
-# MulTB61x64 blocked/naive split cover the BENCH_sweep2d.json 1-D vs 2-D
-# sweep-cost table; the fleet 100k arms cover the BENCH_fleet.json
-# event-engine table (and re-assert its 0-alloc steady-state invariant);
+# concurrent-serving table (the serve run includes BatcherLoneSweep, a
+# lone miss through the idle batcher against the direct sweep); the
+# Sweep1D/Sweep2D arms plus the mat MulTB61x64 blocked/naive split
+# cover the BENCH_sweep2d.json 1-D vs 2-D sweep-cost table; the fleet
+# 100k arms cover the BENCH_fleet.json event-engine table (and
+# re-assert its 0-alloc steady-state invariant);
 # the router/obs arms cover the ring-lookup and metrics-render hot paths
 # behind BENCH_router.json (and re-assert their 0-alloc invariants); the
 # trace/governor arms cover the online change-point push and the
@@ -91,4 +113,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReplayRoundTrip -fuzztime=5s ./internal/backend/replay
 	$(GO) test -run '^$$' -fuzz FuzzPhaseFingerprint -fuzztime=5s ./internal/governor
 
-check: fmt-check vet build test race bench-smoke fuzz-smoke
+check: fmt-check vet build test race alloc-pins bench-smoke fuzz-smoke

@@ -50,7 +50,6 @@ type config struct {
 	capacity      int
 	shards        int
 	maxBatch      int
-	maxWait       time.Duration
 	queue         int
 	device        open.Config
 	seed          int64
@@ -75,7 +74,6 @@ func main() {
 		capacity    = flag.Int("capacity", 0, "plan-cache entry bound (0 = default)")
 		shards      = flag.Int("shards", 0, "plan-cache shard count, rounded up to a power of two (0 = default)")
 		maxBatch    = flag.Int("max-batch", 0, "most sweeps fused into one forward pass (0 = default)")
-		maxWait     = flag.Duration("max-wait", 0, "how long a forming batch waits for company (0 = default, negative = never wait)")
 		queue       = flag.Int("queue", 0, "pending-sweep bound; beyond it requests shed with 429 (0 = default)")
 		memFreqs    = flag.String("mem-freqs", "", `memory P-states served alongside core clocks: "all", or a comma-separated MHz list; empty serves the core axis only`)
 		snapshot    = flag.String("snapshot", "", "plan-cache snapshot file: loaded at boot (warm start), saved on shutdown")
@@ -92,7 +90,6 @@ func main() {
 		capacity:  *capacity,
 		shards:    *shards,
 		maxBatch:  *maxBatch,
-		maxWait:   *maxWait,
 		queue:     *queue,
 		device:    open.Config{Backend: *backendName, Arch: *archName, Seed: *seed, Trace: *trace, TimeCompression: *compression},
 		seed:      *seed,
@@ -145,7 +142,6 @@ func buildHandler(cfg config) (http.Handler, *serve.Server, error) {
 		},
 		Batch: serve.BatcherConfig{
 			MaxBatch:   cfg.maxBatch,
-			MaxWait:    cfg.maxWait,
 			QueueDepth: cfg.queue,
 		},
 	})

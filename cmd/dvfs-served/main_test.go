@@ -102,7 +102,6 @@ func TestServedEndToEnd(t *testing.T) {
 		t.Skip("end-to-end daemon test")
 	}
 	cfg := baseConfig(saveTestModels(t))
-	cfg.maxWait = -1 * time.Microsecond
 	handler, srv, err := buildHandler(cfg)
 	if err != nil {
 		t.Fatal(err)

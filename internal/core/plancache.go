@@ -148,18 +148,20 @@ type PlanCache struct {
 	shards   []planShard
 	mask     uint64 // len(shards)-1, shard count is a power of two
 	shardCap int    // per-shard LRU bound, ceil(Capacity/Shards)
-
-	keyPool sync.Pool // *keyWS
 }
 
-// keyWS is one in-flight key computation's scratch space: the unquantized
-// feature vector and the grow-only key byte buffer. Pooling it (and looking
-// entries up by the byte form of the key) makes the hit path free of heap
-// allocations; only a miss materializes the key as a string.
-type keyWS struct {
-	base []float64
-	buf  []byte
-}
+// A key is built in stack arrays of these sizes: the unquantized feature
+// vector and the key bytes. Building it on the stack (and looking entries
+// up by the byte form of the key) makes the hit path free of heap
+// allocations on any number of cores; only a miss materializes the key as
+// a string. A sync.Pool workspace would not: its caches are per-P, so a
+// goroutine that moves to another P, or runs after a GC cleared the pool,
+// refills it on the hit path. Models with more features, or keys with a
+// longer prefix, spill to the heap and stay correct.
+const (
+	keyStackFeatures = 16
+	keyStackBytes    = 256
+)
 
 // NewPlanCache builds a plan cache over a sweeper.
 func NewPlanCache(s *Sweeper, cfg PlanCacheConfig) (*PlanCache, error) {
@@ -200,13 +202,6 @@ func NewPlanCache(s *Sweeper, cfg PlanCacheConfig) (*PlanCache, error) {
 		c.shards[i].entries = map[string]*planEntry{}
 		c.shards[i].lru = list.New()
 	}
-	nf := len(s.models.Features)
-	c.keyPool.New = func() any {
-		return &keyWS{
-			base: make([]float64, nf),
-			buf:  make([]byte, 0, len(c.prefix)+16*nf),
-		}
-	}
 	return c, nil
 }
 
@@ -237,33 +232,34 @@ func quantizeFeature(v, q float64) int64 {
 // at most one, and pathological inputs collapse to sentinel buckets.
 func Quantize(v, q float64) int64 { return quantizeFeature(v, q) }
 
-// appendKey writes the cache key for a profiling run's mean sample — the
+// appendKey appends the cache key for a profiling run's mean sample — the
 // shared (arch, objective, threshold) prefix plus the quantized feature
-// vector — into ws.buf and returns it. The byte form is what the hot path
+// vector — to dst and returns it. The byte form is what the hot path
 // hashes and looks up; only a miss copies it into an immutable string.
-func (c *PlanCache) appendKey(ws *keyWS, mean dcgm.Sample) ([]byte, error) {
-	m := c.sweeper.models
-	if err := dataset.FeatureVectorInto(ws.base, m.Features, mean, c.sweeper.target.MaxFreqMHz, c.sweeper.target.MaxFreqMHz); err != nil {
+func (c *PlanCache) appendKey(dst []byte, mean dcgm.Sample) ([]byte, error) {
+	features := c.sweeper.models.Features
+	var stack [keyStackFeatures]float64
+	var base []float64
+	if len(features) <= len(stack) {
+		base = stack[:len(features)]
+	} else {
+		base = make([]float64, len(features))
+	}
+	if err := dataset.FeatureVectorInto(base, features, mean, c.sweeper.target.MaxFreqMHz, c.sweeper.target.MaxFreqMHz); err != nil {
 		return nil, err
 	}
-	buf := append(ws.buf[:0], c.prefix...)
-	for _, v := range ws.base {
-		buf = strconv.AppendInt(buf, quantizeFeature(v, c.cfg.Quantum), 36)
-		buf = append(buf, ',')
+	dst = append(dst, c.prefix...)
+	for _, v := range base {
+		dst = strconv.AppendInt(dst, quantizeFeature(v, c.cfg.Quantum), 36)
+		dst = append(dst, ',')
 	}
-	ws.buf = buf // keep any growth for the next caller
-	return buf, nil
+	return dst, nil
 }
 
 // keyFor is the allocating convenience form of appendKey (tests, Clamped).
 func (c *PlanCache) keyFor(mean dcgm.Sample) (string, error) {
-	ws := c.keyPool.Get().(*keyWS)
-	defer c.keyPool.Put(ws)
-	key, err := c.appendKey(ws, mean)
-	if err != nil {
-		return "", err
-	}
-	return string(key), nil
+	key, err := c.appendKey(nil, mean)
+	return string(key), err
 }
 
 // KeyHash is the FNV-1a 64 hash the plan cache stripes its key space
@@ -299,8 +295,8 @@ func (c *PlanCache) Select(maxRun dcgm.Run) (sel Selection, hit bool, err error)
 // SelectCtx is Select with a context that is handed to the cache's sweep
 // function on a miss. A batched sweep uses it to abandon a request that
 // is still queued; callers that lose the per-key singleflight race wait
-// for the winning computation regardless (its duration is bounded by one
-// sweep plus the batcher's max wait).
+// for the winning computation regardless (its duration is bounded by the
+// sweep, including any queueing in front of it).
 func (c *PlanCache) SelectCtx(ctx context.Context, maxRun dcgm.Run) (sel Selection, hit bool, err error) {
 	sel, _, hit, err = c.selectEntry(ctx, maxRun)
 	return sel, hit, err
@@ -324,10 +320,9 @@ func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selec
 	if err := c.sweeper.validateRun(maxRun); err != nil {
 		return Selection{}, nil, false, err
 	}
-	ws := c.keyPool.Get().(*keyWS)
-	kb, err := c.appendKey(ws, maxRun.MeanSample())
+	var stack [keyStackBytes]byte
+	kb, err := c.appendKey(stack[:0], maxRun.MeanSample())
 	if err != nil {
-		c.keyPool.Put(ws)
 		return Selection{}, nil, false, err
 	}
 
@@ -354,7 +349,6 @@ func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selec
 		}
 	}
 	sh.mu.Unlock()
-	c.keyPool.Put(ws)
 
 	// done is only stored (under the once) after every entry field is
 	// final, so a true load proves the fields are readable without entering

@@ -35,12 +35,6 @@ func TestPlanCacheHitPathZeroAlloc(t *testing.T) {
 	if _, _, err := pc.Select(run); err != nil {
 		t.Fatal(err)
 	}
-	// Warm the key workspace pool (first Get allocates the workspace).
-	for i := 0; i < 8; i++ {
-		if _, _, _, err := pc.SelectDerived(run); err != nil {
-			t.Fatal(err)
-		}
-	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, _, _, err := pc.SelectDerived(run); err != nil {
 			t.Fatal(err)

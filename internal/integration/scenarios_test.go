@@ -180,7 +180,7 @@ func TestOverloadShedsThroughRouter(t *testing.T) {
 	// sweep: each dispatch is as expensive as the stack gets, so sustained
 	// concurrency reliably finds the queue occupied.
 	rep := startDaemon(t, servedBin, "-addr", "127.0.0.1:0", "-models", models,
-		"-seed", "11", "-queue", "1", "-max-batch", "1", "-max-wait", "-1ms", "-mem-freqs", "all")
+		"-seed", "11", "-queue", "1", "-max-batch", "1", "-mem-freqs", "all")
 	front := startDaemon(t, routerBin, "-addr", "127.0.0.1:0",
 		"-replicas", "http://"+rep.addr, "-health-interval", "100ms")
 	frontURL := "http://" + front.addr

@@ -7,9 +7,12 @@
 //   - Batcher coalesces concurrent design-space sweeps into fused forward
 //     passes: B pending requests become one (B·61)×features matrix through
 //     the pooled nn.Predictor, amortizing per-layer traversal across
-//     requests. The fused results are bit-identical to the per-request
-//     sweep at any batch size (core.Sweeper.PredictProfilesInto's
-//     contract), so batching is purely a throughput decision.
+//     requests. It is work-conserving: a pass runs as soon as the
+//     dispatcher is free, over whatever is queued by then, so a lone
+//     request never waits for company. The fused results are bit-identical
+//     to the per-request sweep at any batch size
+//     (core.Sweeper.PredictProfilesInto's contract), so batching is purely
+//     a throughput decision.
 //
 //   - Server wires the batcher under core.PlanCache's sharded, singleflight
 //     miss path: hits stay lock-striped and allocation-light, misses fuse.
@@ -28,7 +31,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gpudvfs/internal/core"
 	"gpudvfs/internal/dcgm"
@@ -48,10 +50,6 @@ type BatcherConfig struct {
 	// MaxBatch is the most requests fused into one forward pass.
 	// Default 16.
 	MaxBatch int
-	// MaxWait is how long the first request of a forming batch waits for
-	// company before the pass runs anyway. 0 means 200µs; negative fuses
-	// only what is already queued (no added latency).
-	MaxWait time.Duration
 	// QueueDepth bounds the pending-request queue; a submit beyond it is
 	// shed with ErrOverloaded. 0 means 4·MaxBatch.
 	QueueDepth int
@@ -63,9 +61,6 @@ func (c BatcherConfig) withDefaults() (BatcherConfig, error) {
 	}
 	if c.MaxBatch < 1 {
 		return c, fmt.Errorf("serve: max batch %d < 1", c.MaxBatch)
-	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 200 * time.Microsecond
 	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = 4 * c.MaxBatch
@@ -259,9 +254,11 @@ func (b *Batcher) claim(r *sweepReq) bool {
 	return false
 }
 
-// dispatch is the batching loop: take one request, gather company up to
-// MaxBatch/MaxWait, run the fused pass, repeat. On quit it fails whatever
-// is left in the queue.
+// dispatch is the batching loop: take one request, claim whatever else is
+// already queued up to MaxBatch, run the fused pass, repeat. It never
+// waits for company: requests that arrive during a pass queue up and fuse
+// into the next one, so batches form under load and a lone request runs
+// at once. On quit it fails whatever is left in the queue.
 func (b *Batcher) dispatch() {
 	defer b.wg.Done()
 	batch := make([]*sweepReq, 0, b.cfg.MaxBatch)
@@ -286,33 +283,15 @@ func (b *Batcher) dispatch() {
 }
 
 // gather fills *batch (already holding its first claimed request) up to
-// MaxBatch, waiting at most MaxWait for stragglers.
+// MaxBatch with requests that are already queued, without blocking.
 func (b *Batcher) gather(batch *[]*sweepReq) {
-	if b.cfg.MaxWait < 0 {
-		for len(*batch) < b.cfg.MaxBatch {
-			select {
-			case r := <-b.q:
-				if b.claim(r) {
-					*batch = append(*batch, r)
-				}
-			default:
-				return
-			}
-		}
-		return
-	}
-	timer := time.NewTimer(b.cfg.MaxWait)
-	defer timer.Stop()
 	for len(*batch) < b.cfg.MaxBatch {
 		select {
 		case r := <-b.q:
 			if b.claim(r) {
 				*batch = append(*batch, r)
 			}
-		case <-timer.C:
-			return
-		case <-b.quit:
-			// Finish the batch in hand; drain handles the rest.
+		default:
 			return
 		}
 	}

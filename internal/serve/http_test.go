@@ -184,7 +184,7 @@ func TestHTTPOverloadSheds(t *testing.T) {
 	}
 	defer func() { testHookBeforeBatch = nil }()
 
-	h, srv := testHandler(t, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: depth})
+	h, srv := testHandler(t, BatcherConfig{MaxBatch: 1, QueueDepth: depth})
 	ts := httptest.NewServer(h)
 	defer ts.Close()
 

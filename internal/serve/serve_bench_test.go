@@ -45,7 +45,7 @@ func BenchmarkServeSelectHit(b *testing.B) {
 func BenchmarkServeSelectMiss(b *testing.B) {
 	srv := benchServer(b,
 		core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Capacity: 1},
-		BatcherConfig{MaxWait: -1})
+		BatcherConfig{})
 	runs := uniqueRuns(1024)
 	ctx := context.Background()
 	var next atomic.Uint64
@@ -61,24 +61,35 @@ func BenchmarkServeSelectMiss(b *testing.B) {
 	})
 }
 
-// BenchmarkBatcherPredict routes single sweeps through the batcher with no
-// coalescing opportunity — the per-request overhead floor of the queue,
-// handoff, and dispatcher round trip relative to a direct sweeper call.
-func BenchmarkBatcherPredict(b *testing.B) {
+// BenchmarkBatcherLoneSweep is one submit on an idle batcher against the
+// direct Sweeper.PredictProfileInto: the whole cost of the queue, handoff
+// and dispatcher round trip a lone miss pays, with no coalescing
+// opportunity.
+func BenchmarkBatcherLoneSweep(b *testing.B) {
 	sw := testSweeper(b)
-	bt, err := NewBatcher(sw, BatcherConfig{MaxWait: -1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(bt.Close)
 	run := syntheticRun(0.42, 0.3)
 	dst := make([]objective.Profile, len(sw.Freqs()))
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bt.PredictProfileInto(ctx, dst, run); err != nil {
+	b.Run("batcher", func(b *testing.B) {
+		bt, err := NewBatcher(sw, BatcherConfig{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		defer bt.Close()
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := bt.PredictProfileInto(ctx, dst, run); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("direct", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sw.PredictProfileInto(dst, run); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"sync"
 	"testing"
 	"time"
@@ -85,15 +88,53 @@ func profilesIdentical(a, b []objective.Profile) bool {
 	return true
 }
 
+// holdPasses makes every fused pass wait until release is closed, so
+// submits made while the first pass is held queue up and fuse into the
+// passes after it. The returned function reports the size of every pass
+// so far, in order.
+func holdPasses(t *testing.T, release <-chan struct{}) (sizes func() []int) {
+	t.Helper()
+	var (
+		mu   sync.Mutex
+		seen []int
+	)
+	testHookBeforeBatch = func(size int) {
+		<-release
+		mu.Lock()
+		seen = append(seen, size)
+		mu.Unlock()
+	}
+	t.Cleanup(func() { testHookBeforeBatch = nil })
+	return func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), seen...)
+	}
+}
+
+// waitQueued polls until the batcher has accepted n requests.
+func waitQueued(t *testing.T, b *Batcher, n uint64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for b.Stats().Requests < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/%d requests queued: %+v", b.Stats().Requests, n, b.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBatcherMatchesDirectSweep: results through the batcher are
 // bit-identical to the direct per-request sweep at batch sizes 1, 7, 64 —
-// the differential acceptance criterion, exercised through real concurrent
-// submitters so fusing actually happens.
+// the differential acceptance criterion. The first pass is stalled until
+// every submit is queued, so the later passes fuse deterministically.
 func TestBatcherMatchesDirectSweep(t *testing.T) {
 	sw := testSweeper(t)
 	for _, n := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch%d", n), func(t *testing.T) {
-			b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 16, MaxWait: 500 * time.Microsecond, QueueDepth: 2 * n})
+			release := make(chan struct{})
+			holdPasses(t, release)
+			b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 16, QueueDepth: n})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,6 +162,8 @@ func TestBatcherMatchesDirectSweep(t *testing.T) {
 					gotClamped[i], errs[i] = b.PredictProfileInto(context.Background(), got[i], runs[i])
 				}(i)
 			}
+			waitQueued(t, b, uint64(n))
+			close(release)
 			wg.Wait()
 			for i := range runs {
 				if errs[i] != nil {
@@ -133,8 +176,12 @@ func TestBatcherMatchesDirectSweep(t *testing.T) {
 					t.Fatalf("run %d: batched profiles differ from direct sweep", i)
 				}
 			}
-			if st := b.Stats(); st.Requests != uint64(n) || st.Batched != uint64(n) || st.Shed != 0 {
+			st := b.Stats()
+			if st.Requests != uint64(n) || st.Batched != uint64(n) || st.Shed != 0 {
 				t.Fatalf("stats after %d requests: %+v", n, st)
+			}
+			if n > 1 && st.MaxBatch < 2 {
+				t.Fatalf("%d queued requests never fused: %+v", n, st)
 			}
 		})
 	}
@@ -148,14 +195,9 @@ func TestBatcherFusesConcurrentRequests(t *testing.T) {
 	sw := testSweeper(t)
 	const n = 8
 	release := make(chan struct{})
-	sizes := make(chan int, n)
-	testHookBeforeBatch = func(size int) {
-		<-release
-		sizes <- size
-	}
-	defer func() { testHookBeforeBatch = nil }()
+	holdPasses(t, release)
 
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: n, MaxWait: time.Hour, QueueDepth: n})
+	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: n, QueueDepth: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +214,9 @@ func TestBatcherFusesConcurrentRequests(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait for all n submits to be queued (the dispatcher is gathering
-	// with an hour of patience, so they accumulate), then release.
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests queued", b.Stats().Requests, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The first pass holds the dispatcher, so the other submits
+	// accumulate in the queue; released, they fuse into the next pass.
+	waitQueued(t, b, n)
 	close(release)
 	wg.Wait()
 
@@ -191,6 +227,70 @@ func TestBatcherFusesConcurrentRequests(t *testing.T) {
 	if st.Batched != n {
 		t.Fatalf("batched %d of %d requests", st.Batched, n)
 	}
+}
+
+// TestBatcherLoneRequestRunsAtOnce: a single submit on an idle batcher is
+// dispatched as a batch of 1 — the batcher does not hold it back waiting
+// for company.
+func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
+	sw := testSweeper(t)
+	release := make(chan struct{})
+	close(release)
+	sizes := holdPasses(t, release)
+	b, err := NewBatcher(sw, BatcherConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := syntheticRun(0.42, 0.3)
+	want := make([]objective.Profile, len(sw.Freqs()))
+	if _, err := sw.PredictProfileInto(want, run); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]objective.Profile, len(sw.Freqs()))
+	if _, err := b.PredictProfileInto(context.Background(), got, run); err != nil {
+		t.Fatal(err)
+	}
+	b.Close()
+	if !profilesIdentical(got, want) {
+		t.Fatal("lone request differs from direct sweep")
+	}
+	if st := b.Stats(); st.Batches != 1 || st.Batched != 1 || st.MaxBatch != 1 {
+		t.Fatalf("lone request stats %+v, want one batch of 1", st)
+	}
+	if s := sizes(); len(s) != 1 || s[0] != 1 {
+		t.Fatalf("pass sizes %v, want [1]", s)
+	}
+}
+
+// TestBatcherHasNoTimers pins the work-conserving contract in the source:
+// the batcher never arms a timer or sleeps, so a lone miss never waits
+// for company. On an idle process a sub-millisecond timer wakes only at
+// the netpoller's 1 ms granularity, which would dominate the miss path.
+func TestBatcherHasNoTimers(t *testing.T) {
+	banned := map[string]bool{
+		"NewTimer":  true,
+		"NewTicker": true,
+		"After":     true,
+		"AfterFunc": true,
+		"Sleep":     true,
+		"Tick":      true,
+	}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "batcher.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || !banned[sel.Sel.Name] {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+			pos := fset.Position(sel.Pos())
+			t.Errorf("batcher references time.%s at %s:%d", sel.Sel.Name, pos.Filename, pos.Line)
+		}
+		return true
+	})
 }
 
 // TestBatcherShedsWhenQueueFull: with the dispatcher stalled, submits past
@@ -208,7 +308,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 	}
 	defer func() { testHookBeforeBatch = nil }()
 
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: depth})
+	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, QueueDepth: depth})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +336,7 @@ func TestBatcherShedsWhenQueueFull(t *testing.T) {
 			queued[i] <- err
 		}(i)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < depth+1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue never filled: %+v", b.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, b, depth+1)
 
 	// ...and the next submit is shed instantly.
 	dst := make([]objective.Profile, len(sw.Freqs()))
@@ -276,7 +370,7 @@ func TestBatcherContextCancelWhileQueued(t *testing.T) {
 	}
 	defer func() { testHookBeforeBatch = nil }()
 
-	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, MaxWait: -1, QueueDepth: 4})
+	b, err := NewBatcher(sw, BatcherConfig{MaxBatch: 1, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,13 +394,7 @@ func TestBatcherContextCancelWhileQueued(t *testing.T) {
 		_, err := b.PredictProfileInto(ctx, dst, syntheticRun(0.3, 0.3))
 		result <- err
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Stats().Requests < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, b, 2)
 	cancel()
 	select {
 	case err := <-result:
@@ -453,6 +541,30 @@ func TestServerSelectDifferential(t *testing.T) {
 	}
 	if st.Cache.Misses != nRuns {
 		t.Fatalf("cache misses %d, want %d (singleflight per bucket)", st.Cache.Misses, nRuns)
+	}
+}
+
+// TestServerSelectHitZeroAlloc pins the serving hit path at zero heap
+// allocations: once a bucket is cached, Server.Select never touches the
+// heap or the batcher.
+func TestServerSelectHitZeroAlloc(t *testing.T) {
+	srv, err := NewServer(testSweeper(t), ServerConfig{Cache: core.PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	run := syntheticRun(0.42, 0.3)
+	ctx := context.Background()
+	if _, _, err := srv.Select(ctx, run); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, hit, err := srv.Select(ctx, run); err != nil || !hit {
+			t.Fatalf("hit path: hit=%v err=%v", hit, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("server hit path allocates: %v allocs/op, want 0", allocs)
 	}
 }
 
