@@ -3,7 +3,7 @@ GO ?= go
 # Packages with dedicated concurrent paths: they get a -race pass in check.
 RACE_PKGS = ./internal/mat ./internal/nn ./internal/dcgm ./internal/mi ./internal/neighbors ./internal/stats ./internal/sched ./internal/backend/... ./internal/governor ./internal/trace ./internal/serve ./internal/fleet ./internal/router ./internal/obs
 
-.PHONY: all build test race alloc-pins bench-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
+.PHONY: all build test race alloc-pins bench-smoke bench-e2e-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
 
 all: build
 
@@ -32,7 +32,8 @@ race:
 
 # alloc-pins reruns every 0-alloc contract ten times at GOMAXPROCS=1 and
 # at GOMAXPROCS=2: the fleet event loop's steady segment, the plan-cache
-# and server hit paths, and the governor step and re-pin benchmarks.
+# and server hit paths, the sweeper's single and batched miss sweeps, and
+# the governor step and re-pin benchmarks.
 # Per-P runtime state (sync.Pool caches, goroutine migration between Ps)
 # only shows with more than one P, and only now and then. Each setting
 # gets its own process rather than -cpu 1,2: raising GOMAXPROCS inside a
@@ -80,6 +81,13 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'OnlinePush|DetectOffline' -benchtime=1x ./internal/trace
 	$(GO) test -run '^$$' -bench 'GovernorStep|PhaseRePin' -benchtime=1x ./internal/governor
 
+# bench-e2e-smoke runs the repository benchmark's smoke test (bench/, its
+# own Go module, so the root go test ./... skips it): every workload at
+# --scale 0.02, untraced and traced, under the byte-for-byte answer gate.
+# About 6 s.
+bench-e2e-smoke:
+	cd bench && GOFLAGS= GOPROXY=off $(GO) test -count=1 .
+
 # bench-router records BENCH_router.json: the 1/2/4-replica scaling sweep
 # behind the dvfs-router front (in-process replicas on loopback sockets,
 # Zipf-skewed keys so the hit/miss split is visible). Not part of check —
@@ -102,15 +110,16 @@ bench-phasecache:
 	$(GO) run ./cmd/dvfs-govern -runs 24 -period 4 -phase-cache 8 -out BENCH_phasecache.json
 
 # fuzz-smoke gives the differential fuzzers a short budget on every check;
-# regressions in kernel exactness, estimator exactness, or plan-cache key
-# aliasing (including the mem-axis-extended keys and the governor's phase
-# fingerprints) surface here first.
+# regressions in kernel or inference exactness, estimator exactness, or
+# plan-cache key aliasing (including the mem-axis-extended keys and the
+# governor's phase fingerprints) surface here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulTBBlockedMatchesNaive -fuzztime=5s ./internal/mat
+	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesNaive -fuzztime=5s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzEstimateMatchesBrute -fuzztime=5s ./internal/mi
 	$(GO) test -run '^$$' -fuzz FuzzPlanKeyQuantizer -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanKeyGrid$$' -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReplayRoundTrip -fuzztime=5s ./internal/backend/replay
 	$(GO) test -run '^$$' -fuzz FuzzPhaseFingerprint -fuzztime=5s ./internal/governor
 
-check: fmt-check vet build test race alloc-pins bench-smoke fuzz-smoke
+check: fmt-check vet build test race alloc-pins bench-smoke bench-e2e-smoke fuzz-smoke

@@ -101,10 +101,10 @@ func naiveSweep(m *Models, target backend.Arch, maxRun dcgm.Run, freqs, memFreqs
 	return cl, nil
 }
 
-// benchSweepArm drives one sweep arm: naive rebuilds everything per call,
-// optimized sits on a pre-built Sweeper with a caller-owned buffer.
-func benchSweepArm(b *testing.B, memFreqs []float64, naive bool) {
-	m := gridModels(b)
+// benchSweepArm drives one sweep arm of models m: naive rebuilds
+// everything per call, optimized sits on a pre-built Sweeper with a
+// caller-owned buffer.
+func benchSweepArm(b *testing.B, m *Models, memFreqs []float64, naive bool) {
 	run := benchProfileRun(b)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
@@ -144,15 +144,15 @@ func benchSweepArm(b *testing.B, memFreqs []float64, naive bool) {
 
 // BenchmarkSweep1DNaive is the 61-point core-frequency line rebuilt from
 // scratch on every call — the pre-Sweeper reference cost.
-func BenchmarkSweep1DNaive(b *testing.B) { benchSweepArm(b, nil, true) }
+func BenchmarkSweep1DNaive(b *testing.B) { benchSweepArm(b, gridModels(b), nil, true) }
 
 // BenchmarkSweep1D is the optimized 61-point line: precomputed static
 // plane, pooled workspaces, zero steady-state allocations.
-func BenchmarkSweep1D(b *testing.B) { benchSweepArm(b, nil, false) }
+func BenchmarkSweep1D(b *testing.B) { benchSweepArm(b, gridModels(b), nil, false) }
 
 // BenchmarkSweep2DNaive rebuilds the full 61×3 (core × mem) grid per call.
 func BenchmarkSweep2DNaive(b *testing.B) {
-	benchSweepArm(b, sim.GA100().Spec().MemClocks(), true)
+	benchSweepArm(b, gridModels(b), sim.GA100().Spec().MemClocks(), true)
 }
 
 // BenchmarkSweep2D is the acceptance benchmark: the 61×3 grid on the
@@ -160,5 +160,12 @@ func BenchmarkSweep2DNaive(b *testing.B) {
 // ns/op at zero allocations, because the static plane means tripling the
 // grid only triples the inference rows, not the feature construction.
 func BenchmarkSweep2D(b *testing.B) {
-	benchSweepArm(b, sim.GA100().Spec().MemClocks(), false)
+	benchSweepArm(b, gridModels(b), sim.GA100().Spec().MemClocks(), false)
+}
+
+// BenchmarkSweep2DCoreModel is the 61×3 grid with paper-feature models
+// (no mem_app_clock): the sweeper infers the 61 distinct rows once and
+// composes all 183 profiles from them.
+func BenchmarkSweep2DCoreModel(b *testing.B) {
+	benchSweepArm(b, benchModels(b), sim.GA100().Spec().MemClocks(), false)
 }

@@ -30,6 +30,12 @@ import (
 // pooled batch inferences. At steady state the whole call performs zero
 // heap allocations.
 //
+// Only rows the models can tell apart are inferred. When the feature
+// layout has no mem_app_clock column, every memory clock sees the same
+// feature row for a given core clock, so the sweeper infers one row per
+// core clock and composes all grid points from them; models that carry
+// the memory feature infer the full grid.
+//
 // Pre-scaling the static plane relies on the stats.Scaler contract that
 // scaling is element-wise per column (each output element depends only on
 // its own input element and the fitted column parameters), which both
@@ -47,6 +53,7 @@ type Sweeper struct {
 	memFreqs []float64 // nil: 1-D core-only sweep
 	defMem   float64   // default memory P-state, 0 when target has no memory axis
 	nGrid    int       // len(freqs) × max(1, len(memFreqs))
+	nRows    int       // rows inferred per run: nGrid, or len(freqs) when memIdx < 0
 
 	clockIdx int // index of sm_app_clock in the feature layout, -1 if absent
 	memIdx   int // index of mem_app_clock, -1 if absent
@@ -68,13 +75,13 @@ type Sweeper struct {
 type sweepWS struct {
 	base    []float64   // feature vector of the mean sample at max clock
 	baseRow [][]float64 // one-row view of base, for the in-place scaler
-	x       *mat.Matrix // nGrid × len(features) sweep matrix
-	pP      *mat.Matrix // power predictions, nGrid × 1
-	tP      *mat.Matrix // time predictions, nGrid × 1
+	x       *mat.Matrix // nRows × len(features) sweep matrix
+	pP      *mat.Matrix // power predictions, nRows × 1
+	tP      *mat.Matrix // time predictions, nRows × 1
 }
 
 // batchWS is one in-flight fused-batch call's workspace: the stacked
-// (B·nGrid) × len(features) sweep matrix and its prediction columns. All
+// (B·nRows) × len(features) sweep matrix and its prediction columns. All
 // buffers are grow-only, so a workspace that has served the largest batch
 // once serves every later batch without allocating. stagedRows tracks how
 // many leading rows of x carry valid static columns, so statics are
@@ -170,6 +177,13 @@ func (m *Models) NewGridSweeper(target backend.Arch, freqs, memFreqs []float64) 
 			s.dynIdx = append(s.dynIdx, i)
 		}
 	}
+	// Without a mem_app_clock column no feature sees the memory clock:
+	// grid points that share a core clock share a feature row, so each
+	// such row is inferred once.
+	s.nRows = s.nGrid
+	if s.memIdx < 0 {
+		s.nRows = len(s.freqs)
+	}
 
 	// Build the static plane: the per-grid-point clock and mem values, as
 	// FeatureVector(Grid)Into computes them, pushed through the scaler once.
@@ -196,12 +210,12 @@ func (m *Models) NewGridSweeper(target backend.Arch, freqs, memFreqs []float64) 
 	s.pool.New = func() any {
 		ws := &sweepWS{
 			base: make([]float64, nf),
-			x:    mat.New(s.nGrid, nf),
-			pP:   mat.New(s.nGrid, 1),
-			tP:   mat.New(s.nGrid, 1),
+			x:    mat.New(s.nRows, nf),
+			pP:   mat.New(s.nRows, 1),
+			tP:   mat.New(s.nRows, 1),
 		}
 		ws.baseRow = [][]float64{ws.base}
-		s.stageStatic(ws.x, 0, s.nGrid)
+		s.stageStatic(ws.x, 0, s.nRows)
 		return ws
 	}
 	s.batchPool.New = func() any {
@@ -239,12 +253,12 @@ func (m *Models) scaleColumn(j int, vals []float64) ([]float64, error) {
 
 // stageStatic writes the pre-scaled static clock/mem columns into rows
 // [lo, hi) of a (stacked) sweep matrix. Row r corresponds to grid point
-// r%nGrid; the grid is memory-outer, core-inner.
+// r%nRows; the grid is memory-outer, core-inner.
 func (s *Sweeper) stageStatic(x *mat.Matrix, lo, hi int) {
 	nF := len(s.freqs)
 	for r := lo; r < hi; r++ {
 		row := x.Row(r)
-		g := r % s.nGrid
+		g := r % s.nRows
 		if s.clockIdx >= 0 {
 			row[s.clockIdx] = s.scaledClock[g%nF]
 		}
@@ -255,10 +269,10 @@ func (s *Sweeper) stageStatic(x *mat.Matrix, lo, hi int) {
 }
 
 // fillDynamic broadcasts the scaled mean-sample features into the dynamic
-// columns of rows [off, off+nGrid) of a sweep matrix whose static columns
+// columns of rows [off, off+nRows) of a sweep matrix whose static columns
 // are already staged.
 func (s *Sweeper) fillDynamic(x *mat.Matrix, off int, scaledBase []float64) {
-	for g := 0; g < s.nGrid; g++ {
+	for g := 0; g < s.nRows; g++ {
 		row := x.Row(off + g)
 		for _, j := range s.dynIdx {
 			row[j] = scaledBase[j]
@@ -282,14 +296,15 @@ func (s *Sweeper) scaleBase(base []float64, baseRow [][]float64, mean dcgm.Sampl
 	return nil
 }
 
-// compose turns prediction rows [off, off+nGrid) into profiles,
-// accumulating clamp counts per axis: grid points at an off-default
-// memory clock count as Mem, everything else as Core.
+// compose turns prediction rows [off, off+nRows) into the profiles of
+// all nGrid grid points, grid point g reading row g%nRows, and
+// accumulates clamp counts per axis: grid points at an off-default memory
+// clock count as Mem, everything else as Core.
 func (s *Sweeper) compose(dst []objective.Profile, cl *Clamps, pP, tP *mat.Matrix, off int, execTimeSec float64) {
 	nF := len(s.freqs)
 	for g := 0; g < s.nGrid; g++ {
-		power := pP.At(off+g, 0) * s.target.TDPWatts
-		slow := tP.At(off+g, 0)
+		power := pP.At(off+g%s.nRows, 0) * s.target.TDPWatts
+		slow := tP.At(off+g%s.nRows, 0)
 		// Floor pathological predictions at 1 W / 1e-6 slowdown so
 		// downstream EDP math stays well defined even for badly
 		// undertrained models — but count every clamp so they are visible.
@@ -426,7 +441,7 @@ func (s *Sweeper) ValidateRun(maxRun dcgm.Run) error { return s.validateRun(maxR
 
 // PredictProfilesInto runs the online phase for a batch of profiling runs
 // through ONE fused forward pass per model: the runs' sweep rows are
-// stacked into a single (len(runs)·GridSize()) × features matrix and
+// stacked into a single (len(runs)·rows-per-run) × features matrix and
 // pushed through the power and time networks once, so the per-layer
 // traversal cost is amortized across the whole batch. dsts[i] receives
 // run i's profiles (each buffer must have GridSize() entries) and
@@ -456,7 +471,7 @@ func (s *Sweeper) PredictProfilesInto(dsts [][]objective.Profile, clamped []Clam
 	}
 	m := s.models
 	nf := len(m.Features)
-	rows := len(runs) * s.nGrid
+	rows := len(runs) * s.nRows
 	ws := s.batchPool.Get().(*batchWS)
 	defer s.batchPool.Put(ws)
 	x, grew := reshapeMat(&ws.x, rows, nf)
@@ -472,7 +487,7 @@ func (s *Sweeper) PredictProfilesInto(dsts [][]objective.Profile, clamped []Clam
 		if err := s.scaleBase(ws.base, ws.baseRow, runs[bi].MeanSample()); err != nil {
 			return err
 		}
-		s.fillDynamic(x, bi*s.nGrid, ws.base)
+		s.fillDynamic(x, bi*s.nRows, ws.base)
 	}
 	pP, _ := reshapeMat(&ws.pP, rows, 1)
 	tP, _ := reshapeMat(&ws.tP, rows, 1)
@@ -484,7 +499,7 @@ func (s *Sweeper) PredictProfilesInto(dsts [][]objective.Profile, clamped []Clam
 	}
 	for bi, run := range runs {
 		var cl Clamps
-		s.compose(dsts[bi], &cl, pP, tP, bi*s.nGrid, run.ExecTimeSec)
+		s.compose(dsts[bi], &cl, pP, tP, bi*s.nRows, run.ExecTimeSec)
 		clamped[bi] = cl
 	}
 	return nil

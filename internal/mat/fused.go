@@ -78,12 +78,6 @@ func MulTAInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MulTB returns a·bᵀ as a new matrix without materializing bᵀ.
-// Bit-identical to Mul(a, b.T()).
-func MulTB(a, b *Matrix) *Matrix {
-	return MulTBInto(New(a.Rows, b.Rows), a, b)
-}
-
 // MulTBInto stores a·bᵀ into dst (a.Rows×b.Rows) and returns dst,
 // overwriting dst. Bit-identical to Mul(a, b.T()): same i,k,j iteration
 // order, same skip on zero a-elements.

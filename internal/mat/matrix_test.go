@@ -329,28 +329,3 @@ func TestDotLengthPanic(t *testing.T) {
 	}()
 	Dot([]float64{1}, []float64{1, 2})
 }
-
-func TestMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{3, 17, 64, 130} {
-		a, b := randMat(rng, n, n+1), randMat(rng, n+1, n+2)
-		serial := Mul(a, b)
-		for _, workers := range []int{0, 1, 3, 16} {
-			par := MulParallel(a, b, workers)
-			for i := range serial.Data {
-				if par.Data[i] != serial.Data[i] {
-					t.Fatalf("n=%d workers=%d: mismatch at %d", n, workers, i)
-				}
-			}
-		}
-	}
-}
-
-func TestMulParallelDimensionPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MulParallel(New(100, 100), New(99, 100), 4)
-}

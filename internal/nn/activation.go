@@ -42,8 +42,10 @@ type (
 	linearAct    struct{}
 )
 
-func (seluAct) Name() string { return "selu" }
-func (seluAct) Func(x float64) float64 {
+func (seluAct) Name() string           { return "selu" }
+func (seluAct) Func(x float64) float64 { return selu(x) }
+
+func selu(x float64) float64 {
 	if x > 0 {
 		return SELUScale * x
 	}

@@ -82,25 +82,6 @@ func (l *Layer) Forward(x *mat.Matrix) *mat.Matrix {
 	return a
 }
 
-// inferParallelElems is the output-element count above which Infer fans
-// the matrix product out over mat.MulParallel; the paper's online batches
-// (61 rows) stay below it and run serially.
-const inferParallelElems = 64 * 64
-
-// Infer computes the layer output without caching training state; safe for
-// concurrent use once training has finished. Large batches route through
-// mat.MulParallel (bit-identical to the serial kernel).
-func (l *Layer) Infer(x *mat.Matrix) *mat.Matrix {
-	var z *mat.Matrix
-	if x.Rows*l.Out >= inferParallelElems {
-		z = mat.MulParallel(x, l.W.T(), 0)
-	} else {
-		z = mat.MulTB(x, l.W)
-	}
-	z.AddRowVec(l.B)
-	return z.Apply(l.Act.Func)
-}
-
 // Backward receives dL/dA for this layer's output and returns dL/dX for the
 // layer below, storing the weight and bias gradients internally. Any
 // batch-size averaging belongs in the loss gradient the caller feeds in

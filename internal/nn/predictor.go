@@ -13,11 +13,11 @@ import (
 // any number of concurrent callers (each in-flight call owns one pooled
 // workspace).
 //
-// Every path through the Predictor is bit-identical to Network.Predict's
-// original allocate-per-call formulation: the forward pass reuses the same
-// fused MulTB kernels (serial below inferParallelElems, row-parallel above,
-// both proven bit-identical to Mul against a materialized transpose), the
-// same bias addition, and the same activation application order.
+// Every path through the Predictor is bit-identical to a naive per-row
+// evaluation of y = act(x·Wᵀ + b): the forward pass runs the serial
+// register-tiled mat.MulTBBlockedInto kernel (bit-identical to Mul against
+// a materialized transpose), then adds the bias to each sum and applies
+// the activation, in that order, element by element.
 //
 // A Predictor reads the network's weights live — it holds no weight
 // snapshot — so it must not be used concurrently with training, the same
@@ -63,16 +63,32 @@ func (p *Predictor) forward(ws *predictWS, x *mat.Matrix) *mat.Matrix {
 	a := x
 	for i, l := range p.net.Layers {
 		z := reshape(&ws.acts[i], a.Rows, l.Out)
-		if a.Rows*l.Out >= inferParallelElems {
-			mat.MulTBParallelInto(z, a, l.W, 0)
-		} else {
-			mat.MulTBBlockedInto(z, a, l.W)
-		}
-		z.AddRowVec(l.B)
-		z.Apply(l.Act.Func)
+		mat.MulTBBlockedInto(z, a, l.W)
+		biasAct(z, l.B, l.Act)
 		a = z
 	}
 	return a
+}
+
+// biasAct replaces every element s of z's column j with act(s + b[j]) in
+// one pass. It must stay the same two operations, in the same order, as
+// Layer.Forward's AddRowVec then Apply, so inference matches the training
+// forward pass bit for bit. SELU, the paper's hidden activation, is called
+// directly rather than through a per-element interface call.
+func biasAct(z *mat.Matrix, b []float64, act Activation) {
+	_, isSELU := act.(seluAct)
+	for i := 0; i < z.Rows; i++ {
+		row := z.Row(i)[:len(b)]
+		if isSELU {
+			for j, s := range row {
+				row[j] = selu(s + b[j])
+			}
+			continue
+		}
+		for j, s := range row {
+			row[j] = act.Func(s + b[j])
+		}
+	}
 }
 
 // stage copies rows into the workspace input matrix, validating shape with

@@ -160,18 +160,18 @@ func TestProxyDifferentialAcrossReplicaCounts(t *testing.T) {
 					t.Fatalf("%s: steady-state select missed the cache — affinity broken", wl)
 				}
 			}
-			if n > 1 {
-				// Affinity spread: with several replicas, at least two must
-				// have received traffic (workload set is larger than any
-				// plausible single-owner assignment under a balanced ring).
-				served := 0
-				for _, rep := range p.reps {
-					if rep.forwarded.Value() > 0 {
-						served++
-					}
-				}
-				if served < 2 {
-					t.Fatalf("all %d workloads routed to one of %d replicas", len(testWorkloads), n)
+			// Affinity, exactly: each workload's two requests (steadySelect)
+			// reach the replica the ring assigns its name, and no replica
+			// sees anything else. Where the ring puts the names depends on
+			// the replicas' random ports; that every request follows it
+			// does not.
+			wantFwd := make([]uint64, n)
+			for _, wl := range testWorkloads {
+				wantFwd[p.Ring().Pick([]byte(wl), nil)] += 2
+			}
+			for i, rep := range p.reps {
+				if got := rep.forwarded.Value(); got != wantFwd[i] {
+					t.Fatalf("replica %d forwarded %d requests, ring assigns it %d", i, got, wantFwd[i])
 				}
 			}
 		})
