@@ -29,6 +29,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 
@@ -326,6 +327,13 @@ func governed(dev backend.Device, models *core.Models, cfg config, policy string
 // counters — the CLI's in-process equivalent of the package benchmark's
 // 0 allocs/op pin, recorded in the report so the contract is checked on
 // every bench run, not only under `go test`.
+//
+// The counters are process-wide, and the runtime.GC() that opens the
+// measurement wakes runtime background work (the unique package's post-GC
+// map cleanup, the scavenger's timer heap) that can allocate inside a
+// window on a loaded host. The window is therefore repeated and the
+// smallest count reported: re-pinning the same phase is deterministic, so
+// an allocation of its own appears in every window.
 func measureRePinAllocs(g *governor.Governor) (float64, error) {
 	phases := g.Phases()
 	if len(phases) == 0 {
@@ -336,17 +344,21 @@ func measureRePinAllocs(g *governor.Governor) (float64, error) {
 	if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
 		return 0, fmt.Errorf("re-pin warm-up missed (ok=%v err=%v)", ok, err)
 	}
-	const iters = 1000
+	const iters, windows = 1000, 5
 	runtime.GC()
 	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < iters; i++ {
-		if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
-			return 0, fmt.Errorf("re-pin missed mid-measurement (ok=%v err=%v)", ok, err)
+	least := uint64(math.MaxUint64)
+	for w := 0; w < windows && least > 0; w++ {
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < iters; i++ {
+			if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
+				return 0, fmt.Errorf("re-pin missed mid-measurement (ok=%v err=%v)", ok, err)
+			}
 		}
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.Mallocs-m0.Mallocs)
 	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / iters, nil
+	return float64(least) / iters, nil
 }
 
 func run(cfg config, w io.Writer) error {

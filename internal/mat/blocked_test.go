@@ -102,6 +102,25 @@ func TestMulTBBlockedOverwrites(t *testing.T) {
 	}
 }
 
+// TestMulTBBlockedIntoDimPanics pins that the blocked kernel panics on an
+// inner-dimension mismatch (at a serving-sized shape) and on a destination
+// of the wrong shape, like the naive kernel.
+func TestMulTBBlockedIntoDimPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"inner dims": func() { MulTBBlockedInto(New(100, 100), New(100, 3), New(100, 4)) },
+		"dst":        func() { MulTBBlockedInto(New(1, 1), New(3, 2), New(4, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic on dimension mismatch", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
 // FuzzMulTBBlockedMatchesNaive fuzzes shapes and raw element bits —
 // arbitrary bit patterns decode to NaNs, infinities, denormals and signed
 // zeros — demanding the blocked kernel match the naive reference bit for

@@ -100,14 +100,12 @@ func TestColSumsInto(t *testing.T) {
 
 func TestFusedKernelDimensionPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"MulTA":                func() { MulTA(New(3, 2), New(4, 2)) },
-		"MulTBInto":            func() { MulTBInto(New(3, 4), New(3, 2), New(4, 3)) },
-		"MulInto dst":          func() { MulInto(New(1, 1), New(3, 2), New(2, 3)) },
-		"MulTAInto dst":        func() { MulTAInto(New(1, 1), New(3, 2), New(3, 4)) },
-		"MulTBInto dst":        func() { MulTBInto(New(1, 1), New(3, 2), New(4, 2)) },
-		"MulTBBlockedInto":     func() { MulTBBlockedInto(New(100, 100), New(100, 3), New(100, 4)) },
-		"MulTBBlockedInto dst": func() { MulTBBlockedInto(New(1, 1), New(3, 2), New(4, 2)) },
-		"ColSumsInto dims":     func() { New(2, 3).ColSumsInto(make([]float64, 2)) },
+		"MulTA":            func() { MulTA(New(3, 2), New(4, 2)) },
+		"MulTBInto":        func() { MulTBInto(New(3, 4), New(3, 2), New(4, 3)) },
+		"MulInto dst":      func() { MulInto(New(1, 1), New(3, 2), New(2, 3)) },
+		"MulTAInto dst":    func() { MulTAInto(New(1, 1), New(3, 2), New(3, 4)) },
+		"MulTBInto dst":    func() { MulTBInto(New(1, 1), New(3, 2), New(4, 2)) },
+		"ColSumsInto dims": func() { New(2, 3).ColSumsInto(make([]float64, 2)) },
 	} {
 		func() {
 			defer func() {
