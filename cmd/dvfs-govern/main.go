@@ -29,7 +29,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"runtime"
 
@@ -328,12 +327,12 @@ func governed(dev backend.Device, models *core.Models, cfg config, policy string
 // 0 allocs/op pin, recorded in the report so the contract is checked on
 // every bench run, not only under `go test`.
 //
-// The counters are process-wide, and the runtime.GC() that opens the
-// measurement wakes runtime background work (the unique package's post-GC
-// map cleanup, the scavenger's timer heap) that can allocate inside a
-// window on a loaded host. The window is therefore repeated and the
-// smallest count reported: re-pinning the same phase is deterministic, so
-// an allocation of its own appears in every window.
+// The counters are process-wide, so the single counted window opens on a
+// quiet runtime, as testing.AllocsPerRun's does: GOMAXPROCS is 1 for the
+// measurement, and after the forced GC a yield lets the background work
+// that GC wakes (the unique package's map cleanup, the scavenger) run and
+// allocate before the first counter read rather than inside the window.
+// Every allocation made in the window is still counted.
 func measureRePinAllocs(g *governor.Governor) (float64, error) {
 	phases := g.Phases()
 	if len(phases) == 0 {
@@ -344,21 +343,19 @@ func measureRePinAllocs(g *governor.Governor) (float64, error) {
 	if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
 		return 0, fmt.Errorf("re-pin warm-up missed (ok=%v err=%v)", ok, err)
 	}
-	const iters, windows = 1000, 5
+	const iters = 1000
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
+	runtime.Gosched()
 	var m0, m1 runtime.MemStats
-	least := uint64(math.MaxUint64)
-	for w := 0; w < windows && least > 0; w++ {
-		runtime.ReadMemStats(&m0)
-		for i := 0; i < iters; i++ {
-			if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
-				return 0, fmt.Errorf("re-pin missed mid-measurement (ok=%v err=%v)", ok, err)
-			}
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < iters; i++ {
+		if _, ok, err := g.TryRePin(p[0], p[1]); err != nil || !ok {
+			return 0, fmt.Errorf("re-pin missed mid-measurement (ok=%v err=%v)", ok, err)
 		}
-		runtime.ReadMemStats(&m1)
-		least = min(least, m1.Mallocs-m0.Mallocs)
 	}
-	return float64(least) / iters, nil
+	runtime.ReadMemStats(&m1)
+	return float64(m1.Mallocs-m0.Mallocs) / iters, nil
 }
 
 func run(cfg config, w io.Writer) error {

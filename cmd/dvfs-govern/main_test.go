@@ -94,7 +94,7 @@ func TestGovernPhaseShift(t *testing.T) {
 		t.Fatalf("memo arm re-profiled %d recognized phases", rep.MemoReprofilesAfterFirst)
 	}
 	if rep.MemoRePinAllocsPerOp != 0 {
-		t.Fatalf("re-pin path allocates %.1f/op", rep.MemoRePinAllocsPerOp)
+		t.Fatalf("re-pin path allocates %g/op", rep.MemoRePinAllocsPerOp)
 	}
 	if rep.MemoEnergyVsStreaming > 1 {
 		t.Fatalf("memo arm energy %.3fx streaming", rep.MemoEnergyVsStreaming)

@@ -73,18 +73,10 @@ func (p *Predictor) forward(ws *predictWS, x *mat.Matrix) *mat.Matrix {
 // biasAct replaces every element s of z's column j with act(s + b[j]) in
 // one pass. It must stay the same two operations, in the same order, as
 // Layer.Forward's AddRowVec then Apply, so inference matches the training
-// forward pass bit for bit. SELU, the paper's hidden activation, is called
-// directly rather than through a per-element interface call.
+// forward pass bit for bit.
 func biasAct(z *mat.Matrix, b []float64, act Activation) {
-	_, isSELU := act.(seluAct)
 	for i := 0; i < z.Rows; i++ {
 		row := z.Row(i)[:len(b)]
-		if isSELU {
-			for j, s := range row {
-				row[j] = selu(s + b[j])
-			}
-			continue
-		}
 		for j, s := range row {
 			row[j] = act.Func(s + b[j])
 		}
