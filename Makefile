@@ -3,7 +3,7 @@ GO ?= go
 # Packages with dedicated concurrent paths: they get a -race pass in check.
 RACE_PKGS = ./internal/mat ./internal/nn ./internal/dcgm ./internal/mi ./internal/neighbors ./internal/stats ./internal/sched ./internal/backend/... ./internal/governor ./internal/trace ./internal/serve ./internal/fleet ./internal/router ./internal/obs
 
-.PHONY: all build test race alloc-pins bench-smoke bench-e2e-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check
+.PHONY: all build test race alloc-pins bench-smoke bench-e2e-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check api-report
 
 all: build
 
@@ -95,15 +95,15 @@ bench-e2e-smoke:
 bench-router:
 	$(GO) run ./cmd/dvfs-bench -load -load-replicas 1,2,4 -load-dist zipf -load-concurrency 8,16 -load-requests 2000 -load-out BENCH_router.json
 
-# bench-governor records BENCH_governor.json: the 4-arm DVFS-policy
-# comparison (always-max / one-shot / phased-static / streaming) on a
+# bench-governor records BENCH_governor.json: the DVFS-policy comparison
+# (always-max / one-shot / streaming, plus streaming+memo) on a
 # phase-shifting workload stream. Not part of check — the quick-trained
 # models take a couple of minutes on a laptop.
 bench-governor:
 	$(GO) run ./cmd/dvfs-govern -runs 24 -period 4 -out BENCH_governor.json
 
-# bench-phasecache records BENCH_phasecache.json: the 5-arm comparison
-# adding the phase-memoizing governor (streaming+memo) on the period-4
+# bench-phasecache records BENCH_phasecache.json: the comparison with
+# the phase-memoizing governor (streaming+memo) on the period-4
 # phase-shift stream — re-pins without re-profiling, the re-pin path's
 # allocs/op, and energy/time relative to the plain streaming arm.
 bench-phasecache:
@@ -112,14 +112,25 @@ bench-phasecache:
 # fuzz-smoke gives the differential fuzzers a short budget on every check;
 # regressions in kernel or inference exactness, estimator exactness, or
 # plan-cache key aliasing (including the mem-axis-extended keys and the
-# governor's phase fingerprints) surface here first.
+# governor's phase fingerprints), or plan-cache snapshot loading
+# installing an entry off the design grid, surface here first.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMulTBBlockedMatchesNaive -fuzztime=5s ./internal/mat
 	$(GO) test -run '^$$' -fuzz FuzzPredictorMatchesNaive -fuzztime=5s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzEstimateMatchesBrute -fuzztime=5s ./internal/mi
 	$(GO) test -run '^$$' -fuzz FuzzPlanKeyQuantizer -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz 'FuzzPlanKeyGrid$$' -fuzztime=5s ./internal/core
+	$(GO) test -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime=5s ./internal/core
 	$(GO) test -run '^$$' -fuzz FuzzReplayRoundTrip -fuzztime=5s ./internal/backend/replay
 	$(GO) test -run '^$$' -fuzz FuzzPhaseFingerprint -fuzztime=5s ./internal/governor
 
 check: fmt-check vet build test race alloc-pins bench-smoke bench-e2e-smoke fuzz-smoke
+
+# api-report prints the two size numbers ROADMAP item 2 reports: the net
+# non-test Go lines outside bench/ (blank and comment lines included) and
+# the count of exported top-level funcs, methods and types. Untracked,
+# non-ignored files count too. Not part of check.
+api-report:
+	@files() { git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^bench/'; }; \
+	echo "non-test Go lines outside bench/: $$(files | xargs -r cat | wc -l)"; \
+	echo "exported funcs and types: $$(files | xargs -r grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l)"

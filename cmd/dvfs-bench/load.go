@@ -232,7 +232,7 @@ func localScenarios(m *core.Models, runs []dcgm.Run, keys []int, mems []float64,
 		return i % len(runs)
 	}
 	mkCache := func(shards int) (selectFunc, func(), error) {
-		sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), mems)
+		sw, err := m.NewSweeper(arch, arch.DesignClocks(), mems)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -243,12 +243,12 @@ func localScenarios(m *core.Models, runs []dcgm.Run, keys []int, mems []float64,
 			return nil, nil, err
 		}
 		return func(i int) (bool, bool, error) {
-			_, hit, err := pc.Select(runs[idx(i)])
+			_, _, hit, err := pc.Select(context.Background(), runs[idx(i)])
 			return hit, false, err
 		}, func() {}, nil
 	}
 	mkBatched := func() (selectFunc, func(), error) {
-		sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), mems)
+		sw, err := m.NewSweeper(arch, arch.DesignClocks(), mems)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -353,7 +353,7 @@ func routerScenarios(m *core.Models, counts []int, apps []string, keys []int) []
 		}
 		urls := make([]string, n)
 		for i := 0; i < n; i++ {
-			sw, err := m.NewSweeper(arch, arch.DesignClocks())
+			sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 			if err != nil {
 				cleanup()
 				return nil, nil, err

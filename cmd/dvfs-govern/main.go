@@ -1,7 +1,6 @@
 // Command dvfs-govern runs the streaming governor over a workload stream
 // and compares governing policies on the same executions: always-max (no
-// DVFS), the paper's one-shot tune, a phased-static tune (dominant-phase
-// features, still one-shot), the streaming governor that watches
+// DVFS), the paper's one-shot tune, the streaming governor that watches
 // per-sample telemetry through an online change-point detector and
 // re-runs the online phase mid-stream when the workload changes
 // character, and the phase-memoizing streaming governor whose retunes
@@ -404,8 +403,6 @@ func run(cfg config, w io.Writer) error {
 	}
 	oneShot := base
 	oneShot.RetuneCooldown = cfg.runs + 1
-	phased := oneShot
-	phased.PhasedTuning = true
 	streaming := base
 	streaming.RetuneCooldown = cfg.retuneCd
 	streaming.FuseStatic = cfg.fuseStatic
@@ -418,9 +415,11 @@ func run(cfg config, w io.Writer) error {
 	memo.PhaseStaleAfter = cfg.phaseStale
 
 	// Each arm gets an identically seeded fork: the comparison isolates
-	// the governing policy, nothing else.
+	// the governing policy, nothing else. Each arm's fork index is fixed
+	// (3 is unused), so adding or dropping an arm never moves another
+	// arm's numbers.
 	fork := func(i int64) backend.Device { return root.Fork(cfg.seed + 100*i) }
-	arms := make([]armResult, 0, 5)
+	arms := make([]armResult, 0, 4)
 	am, err := alwaysMax(fork(1), cfg)
 	if err != nil {
 		return fmt.Errorf("always-max arm: %w", err)
@@ -432,7 +431,6 @@ func run(cfg config, w io.Writer) error {
 		gcfg governor.Config
 	}{
 		{"one-shot", 2, oneShot},
-		{"phased-static", 3, phased},
 		{"streaming", 4, streaming},
 	}
 	if cfg.phaseCache > 0 {

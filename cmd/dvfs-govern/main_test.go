@@ -54,7 +54,7 @@ func TestGovernPhaseShift(t *testing.T) {
 	for _, a := range rep.Arms {
 		arms[a.Policy] = a
 	}
-	for _, p := range []string{"always-max", "one-shot", "phased-static", "streaming"} {
+	for _, p := range []string{"always-max", "one-shot", "streaming"} {
 		a, ok := arms[p]
 		if !ok {
 			t.Fatalf("missing arm %q in %s", p, raw)
@@ -156,7 +156,7 @@ func TestGovernMemoDisabled(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Arms) != 4 || rep.MemoRePins != 0 || rep.MemoEnergyVsStreaming != 0 {
+	if len(rep.Arms) != 3 || rep.MemoRePins != 0 || rep.MemoEnergyVsStreaming != 0 {
 		t.Fatalf("disabled memo leaked into report: %+v", rep)
 	}
 }

@@ -78,7 +78,7 @@ func run(modelsDir string, devCfg open.Config, app, memSpec, objName string, thr
 	if err != nil {
 		return err
 	}
-	res, err := core.OnlinePredictGrid(dev, models, w, dcgm.Config{Seed: seed + 1}, mems)
+	res, err := core.OnlinePredict(dev, models, w, dcgm.Config{Seed: seed + 1}, mems)
 	if err != nil {
 		return err
 	}

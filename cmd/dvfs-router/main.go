@@ -118,9 +118,19 @@ func (d *drainHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.inner.ServeHTTP(w, r)
 }
 
+// readHeaderTimeout bounds how long an accepted connection may go without
+// sending request headers. drainTimeout must exceed it: Shutdown waits for
+// such a connection (an HTTP client's spare dial, say) until that timeout
+// closes it, so with equal bounds the drain can run out first and the
+// daemon exits non-zero on SIGTERM.
+const (
+	readHeaderTimeout = 5 * time.Second
+	drainTimeout      = 2 * readHeaderTimeout
+)
+
 // run serves until ctx is cancelled, then drains: new requests answer 503,
-// in-flight proxied requests get up to 5s to finish. If ready is non-nil
-// it receives the bound address once the listener is up.
+// in-flight proxied requests get up to drainTimeout to finish. If ready is
+// non-nil it receives the bound address once the listener is up.
 func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) error {
 	p, err := buildProxy(cfg)
 	if err != nil {
@@ -133,7 +143,7 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 		return err
 	}
 	drain := &drainHandler{inner: p.Handler()}
-	hs := &http.Server{Handler: drain, ReadHeaderTimeout: 5 * time.Second}
+	hs := &http.Server{Handler: drain, ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -147,7 +157,7 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 		return err
 	case <-ctx.Done():
 		drain.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			return err

@@ -180,10 +180,21 @@ func (d *drainHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	d.inner.ServeHTTP(w, r)
 }
 
+// readHeaderTimeout bounds how long an accepted connection may go without
+// sending request headers. drainTimeout must exceed it: Shutdown waits for
+// such a connection (an HTTP client's spare dial, say) until that timeout
+// closes it, so with equal bounds the drain can run out first and the
+// daemon exits non-zero on SIGTERM.
+const (
+	readHeaderTimeout = 5 * time.Second
+	drainTimeout      = 2 * readHeaderTimeout
+)
+
 // run serves until ctx is cancelled (main wires SIGINT/SIGTERM into ctx),
-// then drains: new requests answer 503, in-flight requests get up to 5s to
-// finish. If ready is non-nil it receives the bound address once the
-// listener is up — tests pass addr ":0" and read the port from here.
+// then drains: new requests answer 503, in-flight requests get up to
+// drainTimeout to finish. If ready is non-nil it receives the bound
+// address once the listener is up — tests pass addr ":0" and read the
+// port from here.
 func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) error {
 	handler, srv, err := buildHandler(cfg)
 	if err != nil {
@@ -238,7 +249,7 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 		return err
 	}
 	drain := &drainHandler{inner: handler}
-	hs := &http.Server{Handler: drain, ReadHeaderTimeout: 5 * time.Second}
+	hs := &http.Server{Handler: drain, ReadHeaderTimeout: readHeaderTimeout}
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
@@ -252,7 +263,7 @@ func run(ctx context.Context, addr string, cfg config, ready chan<- net.Addr) er
 		return err
 	case <-ctx.Done():
 		drain.draining.Store(true)
-		shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 		defer cancel()
 		if err := hs.Shutdown(shutdownCtx); err != nil {
 			return err

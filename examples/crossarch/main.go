@@ -53,7 +53,7 @@ func main() {
 
 			// Online phase on this architecture with the GA100 models.
 			online, err := core.OnlinePredict(sim.New(arch, seed+2), offline.Models, app,
-				dcgm.Config{Seed: seed + 3})
+				dcgm.Config{Seed: seed + 3}, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -1,15 +1,17 @@
 // Runtime governor: the extension beyond the paper's one-shot online
 // phase. A governed device runs a workload stream whose character changes
 // mid-way (a molecular-dynamics phase hands over to a memory-bound
-// analysis phase). The governor notices the feature drift against its
-// profiling baseline and re-runs the online phase, landing on the new
-// phase's optimal frequency — while an input-size change alone (which the
-// paper shows does not move the features) triggers nothing.
+// analysis phase). The governor's streaming loop notices the feature
+// drift against its profiling baseline and re-runs the online phase,
+// landing on the new phase's optimal frequency — while an input-size
+// change alone (which the paper shows does not move the features)
+// triggers nothing.
 //
 // Run with: go run ./examples/governor
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -63,17 +65,27 @@ func main() {
 	fmt.Printf("\ninitial tune for MD: %.0f MHz (predicted energy %+.1f%%, time %+.1f%%)\n\n",
 		sel.FreqMHz, sel.EnergyPct, sel.TimePct)
 
+	// Run consumes a workload stream; feeding it one item at a time shows
+	// each item's outcome, and the governor's state carries over between
+	// calls. A retune's profiling run executes the item at the maximum
+	// clock, so the item after the drift hysteresis completes is the one
+	// that re-profiles.
 	fmt.Printf("%-14s %10s %10s %8s %8s\n", "run", "freq_mhz", "time_s", "drift", "retune")
+	ctx := context.Background()
 	for _, step := range stream {
-		out, err := gov.ProcessRun(step.app)
+		rep, err := gov.Run(ctx, workloads.NewSequence(step.app))
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-14s %10.0f %10.2f %8v %8v\n", step.label, out.FreqMHz, out.TimeSec, out.Drifted, out.Retuned)
+		freq := gov.Selection().FreqMHz
+		if rep.TunedRuns > 0 {
+			freq = arch.MaxFreqMHz
+		}
+		fmt.Printf("%-14s %10.0f %10.2f %8v %8v\n", step.label, freq, rep.TimeSeconds, rep.DriftedRuns > 0, rep.Retunes > 0)
 	}
 
 	st := gov.Stats()
-	fmt.Printf("\ngovernor stats: %d runs, %d drifted, %d re-tunes (of %d tunes total)\n",
+	fmt.Printf("\ngovernor stats: %d governed runs, %d drifted, %d re-tunes (of %d tunes total)\n",
 		st.Runs, st.DriftedRuns, st.Retunes, st.Tunes)
 	fmt.Printf("final frequency: %.0f MHz\n", gov.Selection().FreqMHz)
 	fmt.Println("\nthe input-size change did not re-tune (features are size-invariant, §4.2.3);")

@@ -40,7 +40,7 @@ func main() {
 	// --- Online phase: one profiling run of an unseen application. ---
 	app := workloads.LAMMPS()
 	appDev := sim.New(arch, 7)
-	online, err := core.OnlinePredict(appDev, offline.Models, app, dcgm.Config{Seed: 8})
+	online, err := core.OnlinePredict(appDev, offline.Models, app, dcgm.Config{Seed: 8}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	online, err := core.OnlinePredict(sim.New(arch, 7), offline.Models, app, dcgm.Config{Seed: 8})
+	online, err := core.OnlinePredict(sim.New(arch, 7), offline.Models, app, dcgm.Config{Seed: 8}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -241,7 +242,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 	m := trainTinyModels(t)
 	app := workloads.LAMMPS()
 
-	live, err := core.OnlinePredict(sim.New(arch, 7), m, app, dcgm.Config{Seed: 8})
+	live, err := core.OnlinePredict(sim.New(arch, 7), m, app, dcgm.Config{Seed: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := core.OnlinePredict(rdev, m, app, dcgm.Config{Seed: 999, MaxSamplesPerRun: 1})
+	rep, err := core.OnlinePredict(rdev, m, app, dcgm.Config{Seed: 999, MaxSamplesPerRun: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestCrossBackendDifferential(t *testing.T) {
 
 	// Plan-cache key identity: the replayed run must land in the bucket
 	// the live run created, proving the cache key is backend-invariant.
-	sw, err := m.NewSweeper(arch.Spec(), arch.DesignClocks())
+	sw, err := m.NewSweeper(arch.Spec(), arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +303,14 @@ func TestCrossBackendDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selLive, hit, err := cache.Select(live.ProfileRun)
+	selLive, _, hit, err := cache.Select(context.Background(), live.ProfileRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first selection reported a cache hit")
 	}
-	selRep, hit, err := cache.Select(rep.ProfileRun)
+	selRep, _, hit, err := cache.Select(context.Background(), rep.ProfileRun)
 	if err != nil {
 		t.Fatal(err)
 	}

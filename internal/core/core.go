@@ -273,16 +273,7 @@ func TrainSplit(powerDS, timeDS *dataset.Dataset, opts TrainOptions) (*Models, e
 // Callers that need the clamp count or an allocation-free path should use
 // NewSweeper / Sweeper.PredictProfileInto directly.
 func (m *Models) PredictProfile(target backend.Arch, maxRun dcgm.Run, freqs []float64) ([]objective.Profile, error) {
-	if len(maxRun.Samples) == 0 {
-		return nil, errors.New("core: profiling run has no samples")
-	}
-	if maxRun.FreqMHz != target.MaxFreqMHz {
-		return nil, fmt.Errorf("core: profiling run was at %v MHz, want the maximum clock %v MHz", maxRun.FreqMHz, target.MaxFreqMHz)
-	}
-	if maxRun.ExecTimeSec <= 0 {
-		return nil, fmt.Errorf("core: profiling run has non-positive exec time %v", maxRun.ExecTimeSec)
-	}
-	sw, err := m.sweeperFor(target, freqs, nil)
+	sw, err := m.GridSweeperFor(target, freqs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -299,7 +299,7 @@ func TestOfflineOnlineIntegration(t *testing.T) {
 	}
 
 	app := workloads.BERT()
-	on, err := OnlinePredict(sim.New(arch, 43), off.Models, app, dcgm.Config{Seed: 44})
+	on, err := OnlinePredict(sim.New(arch, 43), off.Models, app, dcgm.Config{Seed: 44}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func Example() {
 	// Online: one profiling run of an unseen application at the maximum
 	// clock seeds predictions across all 61 configurations.
 	online, err := core.OnlinePredict(sim.New(arch, 7),
-		offline.Models, workloads.BERT(), dcgm.Config{Seed: 8})
+		offline.Models, workloads.BERT(), dcgm.Config{Seed: 8}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

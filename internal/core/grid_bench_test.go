@@ -108,7 +108,7 @@ func benchSweepArm(b *testing.B, m *Models, memFreqs []float64, naive bool) {
 	run := benchProfileRun(b)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewGridSweeper(arch, freqs, memFreqs)
+	sw, err := m.NewSweeper(arch, freqs, memFreqs)
 	if err != nil {
 		b.Fatal(err)
 	}

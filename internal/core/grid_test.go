@@ -130,7 +130,7 @@ func TestGridSweeperMatchesOracle2D(t *testing.T) {
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
 	mems := arch.MemClocks()
-	sw, err := m.NewGridSweeper(arch, freqs, mems)
+	sw, err := m.NewSweeper(arch, freqs, mems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +174,11 @@ func TestGridSweeperDegenerate1D(t *testing.T) {
 	m := gridModels(t)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	swNil, err := m.NewGridSweeper(arch, freqs, nil)
+	swNil, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	swDef, err := m.NewGridSweeper(arch, freqs, []float64{arch.DefaultMemClock()})
+	swDef, err := m.NewSweeper(arch, freqs, []float64{arch.DefaultMemClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestGridSweeperDegenerate1D(t *testing.T) {
 func TestGridSweeperBatchMatchesSingle2D(t *testing.T) {
 	m := gridModels(t)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), arch.MemClocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,19 +265,19 @@ func TestGridSweeperBatchMatchesSingle2D(t *testing.T) {
 func TestGridSweeperValidation(t *testing.T) {
 	m := gridModels(t)
 	arch := sim.GA100().Spec()
-	if _, err := m.NewGridSweeper(arch, arch.DesignClocks(), []float64{}); err == nil {
+	if _, err := m.NewSweeper(arch, arch.DesignClocks(), []float64{}); err == nil {
 		t.Fatal("empty (non-nil) memory list accepted")
 	}
-	if _, err := m.NewGridSweeper(arch, arch.DesignClocks(), []float64{999}); err == nil {
+	if _, err := m.NewSweeper(arch, arch.DesignClocks(), []float64{999}); err == nil {
 		t.Fatal("unsupported memory clock accepted")
 	}
 	noMem := arch
 	noMem.MemFreqMHz = 0
 	noMem.Name = "NOMEM"
-	if _, err := m.NewGridSweeper(noMem, arch.DesignClocks(), []float64{810}); err == nil {
+	if _, err := m.NewSweeper(noMem, arch.DesignClocks(), []float64{810}); err == nil {
 		t.Fatal("memory axis accepted on an architecture without one")
 	}
-	sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), arch.MemClocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestPlanCacheKeyMemAxis(t *testing.T) {
 	m := gridModels(t)
 	arch := sim.GA100().Spec()
 	mk := func(mems []float64) *PlanCache {
-		sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), mems)
+		sw, err := m.NewSweeper(arch, arch.DesignClocks(), mems)
 		if err != nil {
 			t.Fatal(err)
 		}

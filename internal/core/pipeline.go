@@ -86,23 +86,16 @@ type OnlineResult struct {
 }
 
 // OnlinePredict runs the online phase for one application on a device:
-// profile once at the maximum clock, then predict power/time/energy across
-// the architecture's core-frequency design space.
-func OnlinePredict(dev backend.Device, m *Models, app backend.Workload, collect dcgm.Config) (*OnlineResult, error) {
-	return OnlinePredictGrid(dev, m, app, collect, nil)
-}
-
-// OnlinePredictGrid is OnlinePredict over the 2-D (core × memory) design
-// grid: the single max-clock profile seeds predictions for every
-// (core, mem) pair in designClocks × memFreqs. A nil memFreqs degenerates
-// to OnlinePredict's core-only design space, bit for bit.
-func OnlinePredictGrid(dev backend.Device, m *Models, app backend.Workload, collect dcgm.Config, memFreqs []float64) (*OnlineResult, error) {
+// profile once at the maximum clock, then predict power/time/energy for
+// every (core, mem) pair in the architecture's design clocks × memFreqs.
+// A nil memFreqs is the paper's core-only design space.
+func OnlinePredict(dev backend.Device, m *Models, app backend.Workload, collect dcgm.Config, memFreqs []float64) (*OnlineResult, error) {
 	coll := dcgm.NewCollector(dev, collect)
 	run, err := coll.ProfileAtMax(app)
 	if err != nil {
 		return nil, fmt.Errorf("core: profiling %s: %w", app.WorkloadName(), err)
 	}
-	sw, err := m.sweeperFor(dev.Arch(), dev.Arch().DesignClocks(), memFreqs)
+	sw, err := m.GridSweeperFor(dev.Arch(), dev.Arch().DesignClocks(), memFreqs)
 	if err != nil {
 		return nil, fmt.Errorf("core: predicting %s: %w", app.WorkloadName(), err)
 	}

@@ -53,8 +53,8 @@ type PlanCacheConfig struct {
 	// Derive, when set, is called once per miss — after the sweep and
 	// selection succeed — with the predicted profiles and the chosen
 	// selection, and its return value is memoized alongside the entry.
-	// SelectDerived hands the payload back on every hit without recomputing
-	// it, which is how an online planner (the fleet simulator's
+	// Select hands the payload back on every hit without recomputing it,
+	// which is how an online planner (the fleet simulator's
 	// deadline-feasibility curve) rides the cache without copying profiles
 	// per request. The profiles slice is owned by the cache entry: Derive
 	// may read it and keep references, but must not modify it.
@@ -285,39 +285,20 @@ func (c *PlanCache) shardFor(key []byte) *planShard {
 }
 
 // Select returns the frequency selection for a profiling run, serving
-// repeated queries for same-character workloads from the cache. hit
-// reports whether the selection was memoized. The returned Selection on a
-// hit is identical to the one the original computation produced.
-func (c *PlanCache) Select(maxRun dcgm.Run) (sel Selection, hit bool, err error) {
-	return c.SelectCtx(context.Background(), maxRun)
-}
-
-// SelectCtx is Select with a context that is handed to the cache's sweep
-// function on a miss. A batched sweep uses it to abandon a request that
-// is still queued; callers that lose the per-key singleflight race wait
-// for the winning computation regardless (its duration is bounded by the
-// sweep, including any queueing in front of it).
-func (c *PlanCache) SelectCtx(ctx context.Context, maxRun dcgm.Run) (sel Selection, hit bool, err error) {
-	sel, _, hit, err = c.selectEntry(ctx, maxRun)
-	return sel, hit, err
-}
-
-// SelectDerived is Select extended with the Derive payload memoized for the
-// run's bucket: whatever PlanCacheConfig.Derive returned when the bucket was
-// first computed (nil when Derive is unset). An online planner calls this on
-// every arrival and gets its precomputed per-bucket structure back on hits
-// without touching the profiles.
-func (c *PlanCache) SelectDerived(maxRun dcgm.Run) (sel Selection, derived any, hit bool, err error) {
-	return c.selectEntry(context.Background(), maxRun)
-}
-
-// SelectDerivedCtx is SelectDerived with a context for the miss path.
-func (c *PlanCache) SelectDerivedCtx(ctx context.Context, maxRun dcgm.Run) (sel Selection, derived any, hit bool, err error) {
-	return c.selectEntry(ctx, maxRun)
-}
-
-func (c *PlanCache) selectEntry(ctx context.Context, maxRun dcgm.Run) (sel Selection, derived any, hit bool, err error) {
-	if err := c.sweeper.validateRun(maxRun); err != nil {
+// repeated queries for same-character workloads from the cache. derived
+// is the PlanCacheConfig.Derive payload memoized for the run's bucket
+// (nil when Derive is unset), so an online planner gets its per-bucket
+// structure back on hits without touching the profiles. hit reports
+// whether the selection was memoized; the Selection returned on a hit is
+// identical to the one the original computation produced.
+//
+// ctx is handed to the cache's sweep function on a miss: a batched sweep
+// uses it to abandon a request that is still queued. Callers that lose
+// the per-key singleflight race wait for the winning computation
+// regardless (its duration is bounded by the sweep, including any
+// queueing in front of it).
+func (c *PlanCache) Select(ctx context.Context, maxRun dcgm.Run) (sel Selection, derived any, hit bool, err error) {
+	if err := c.sweeper.ValidateRun(maxRun); err != nil {
 		return Selection{}, nil, false, err
 	}
 	var stack [keyStackBytes]byte

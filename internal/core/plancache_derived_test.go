@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ import (
 func TestPlanCacheHitPathZeroAlloc(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,14 +33,14 @@ func TestPlanCacheHitPathZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := serveRun(t, 11, workloads.DGEMM())
-	if _, _, err := pc.Select(run); err != nil {
+	if _, _, _, err := pc.Select(context.Background(), run); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, _, _, err := pc.SelectDerived(run); err != nil {
+		if _, _, _, err := pc.Select(context.Background(), run); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := pc.Select(run); err != nil {
+		if _, _, _, err := pc.Select(context.Background(), run); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -54,7 +55,7 @@ func TestPlanCacheHitPathZeroAlloc(t *testing.T) {
 func TestPlanCacheDerivePayload(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +78,12 @@ func TestPlanCacheDerivePayload(t *testing.T) {
 	}
 
 	run := serveRun(t, 21, workloads.DGEMM())
-	sel0, d0, hit, err := pc.SelectDerived(run)
+	sel0, d0, hit, err := pc.Select(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
-		t.Fatal("first SelectDerived reported a hit")
+		t.Fatal("first Select reported a hit")
 	}
 	p0, ok := d0.(*payload)
 	if !ok {
@@ -92,7 +93,7 @@ func TestPlanCacheDerivePayload(t *testing.T) {
 		t.Fatalf("Derive saw %d profiles, want grid size %d", p0.n, sw.GridSize())
 	}
 	if p0.sel != sel0 {
-		t.Fatalf("Derive saw selection %+v, SelectDerived returned %+v", p0.sel, sel0)
+		t.Fatalf("Derive saw selection %+v, Select returned %+v", p0.sel, sel0)
 	}
 
 	// Hits — including concurrent ones — return the same pointer without
@@ -103,13 +104,13 @@ func TestPlanCacheDerivePayload(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 16; i++ {
-				sel, d, hit, err := pc.SelectDerived(run)
+				sel, d, hit, err := pc.Select(context.Background(), run)
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				if !hit {
-					t.Error("repeat SelectDerived missed")
+					t.Error("repeat Select missed")
 					return
 				}
 				if d != d0 {
@@ -130,7 +131,7 @@ func TestPlanCacheDerivePayload(t *testing.T) {
 
 	// A distinct workload character gets its own payload.
 	run2 := serveRun(t, 22, workloads.STREAM())
-	_, d2, _, err := pc.SelectDerived(run2)
+	_, d2, _, err := pc.Select(context.Background(), run2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestPlanCacheDerivePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selP, dP, _, err := plain.SelectDerived(run)
+	selP, dP, _, err := plain.Select(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}

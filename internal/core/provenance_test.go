@@ -93,12 +93,12 @@ func TestSweeperRefusesMismatchedDVFS(t *testing.T) {
 	ga := backend.GA100()
 	m.DVFS = DVFSTableOf(ga)
 
-	if _, err := m.NewSweeper(ga, ga.DesignClocks()); err != nil {
+	if _, err := m.NewSweeper(ga, ga.DesignClocks(), nil); err != nil {
 		t.Fatalf("matching target rejected: %v", err)
 	}
 	drifted := ga
 	drifted.MinFreqMHz = 600
-	if _, err := m.NewSweeper(drifted, drifted.DesignClocks()); err == nil {
+	if _, err := m.NewSweeper(drifted, drifted.DesignClocks(), nil); err == nil {
 		t.Fatal("sweeper accepted a target with a drifted DVFS table")
 	}
 }

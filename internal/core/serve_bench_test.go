@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -71,7 +72,7 @@ func BenchmarkPredictProfileInto(b *testing.B) {
 	m := benchModels(b)
 	run := benchProfileRun(b)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func benchMissRuns(n int) []dcgm.Run {
 func benchSelectMiss(b *testing.B, shards int) {
 	m := benchModels(b)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func benchSelectMiss(b *testing.B, shards int) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			r := runs[next.Add(1)%uint64(len(runs))]
-			if _, _, err := pc.Select(r); err != nil {
+			if _, _, _, err := pc.Select(context.Background(), r); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -146,7 +147,7 @@ func BenchmarkPlanCacheSelectMissSharded(b *testing.B) { benchSelectMiss(b, 16) 
 func BenchmarkBatchSweep8(b *testing.B) {
 	m := benchModels(b)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func BenchmarkPlanCacheSelect(b *testing.B) {
 	m := benchModels(b)
 	run := benchProfileRun(b)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func BenchmarkPlanCacheSelect(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := pc.Select(run); err != nil {
+		if _, _, _, err := pc.Select(context.Background(), run); err != nil {
 			b.Fatal(err)
 		}
 	}

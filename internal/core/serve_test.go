@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -128,7 +129,7 @@ func TestSweeperMatchesPredictProfile(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
+	sw, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestSweeperConcurrentDeterministic(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
+	sw, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestClampCountSurfaced(t *testing.T) {
 	zeroWeights(m.Time)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
+	sw, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestClampCountSurfaced(t *testing.T) {
 
 	// And the counter reaches OnlineResult through the online pipeline.
 	dev := sim.New(sim.GA100(), 61)
-	res, err := OnlinePredict(dev, m, workloads.DGEMM(), dcgm.Config{Seed: 62})
+	res, err := OnlinePredict(dev, m, workloads.DGEMM(), dcgm.Config{Seed: 62}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +257,7 @@ func TestClampCountSurfaced(t *testing.T) {
 	// A healthy (random-weight) model pair rarely clamps everything; just
 	// assert the count stays within its bound.
 	m2 := serveModels(t)
-	sw2, err := m2.NewSweeper(arch, freqs)
+	sw2, err := m2.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestClampCountSurfaced(t *testing.T) {
 func planCacheFor(t *testing.T, m *Models, cfg PlanCacheConfig) *PlanCache {
 	t.Helper()
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,14 +296,14 @@ func TestPlanCacheHitReturnsIdenticalSelection(t *testing.T) {
 	pc := planCacheFor(t, m, PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1})
 	run := serveRun(t, 70, workloads.DGEMM())
 
-	first, hit, err := pc.Select(run)
+	first, _, hit, err := pc.Select(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hit {
 		t.Fatal("first Select reported a hit")
 	}
-	second, hit, err := pc.Select(run)
+	second, _, hit, err := pc.Select(context.Background(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +384,7 @@ func TestPlanCacheEviction(t *testing.T) {
 		syntheticRun(0.75, 0.20),
 	}
 	for _, r := range runs {
-		if _, _, err := pc.Select(r); err != nil {
+		if _, _, _, err := pc.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -395,11 +396,11 @@ func TestPlanCacheEviction(t *testing.T) {
 		t.Fatalf("stats %+v", s)
 	}
 	// The oldest bucket was evicted; re-querying it misses again.
-	if _, hit, err := pc.Select(runs[0]); err != nil || hit {
+	if _, _, hit, err := pc.Select(context.Background(), runs[0]); err != nil || hit {
 		t.Fatalf("evicted bucket still hit (err %v)", err)
 	}
 	// The most recent one still hits.
-	if _, hit, err := pc.Select(runs[2]); err != nil || !hit {
+	if _, _, hit, err := pc.Select(context.Background(), runs[2]); err != nil || !hit {
 		t.Fatalf("recent bucket missed (err %v)", err)
 	}
 }
@@ -417,7 +418,7 @@ func TestPlanCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			sels[g], _, errs[g] = pc.Select(run)
+			sels[g], _, _, errs[g] = pc.Select(context.Background(), run)
 		}(g)
 	}
 	wg.Wait()
@@ -442,7 +443,7 @@ func TestBatchSweepMatchesSingle(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
+	sw, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestBatchSweepValidation(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
 	freqs := arch.DesignClocks()
-	sw, err := m.NewSweeper(arch, freqs)
+	sw, err := m.NewSweeper(arch, freqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +530,7 @@ func TestPlanCacheShardedDifferential(t *testing.T) {
 		sels := make([]Selection, len(runs))
 		for i, r := range runs {
 			var err error
-			sels[i], _, err = pc.Select(r)
+			sels[i], _, _, err = pc.Select(context.Background(), r)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -569,7 +570,7 @@ func TestPlanCacheShardRounding(t *testing.T) {
 		t.Fatalf("Shards() = %d, want 8 (5 rounded up)", got)
 	}
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +624,7 @@ func TestPlanCacheConcurrentStatsNoTornReads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
-				if _, _, err := pc.Select(runs[(g+it)%len(runs)]); err != nil {
+				if _, _, _, err := pc.Select(context.Background(), runs[(g+it)%len(runs)]); err != nil {
 					errs <- err
 					return
 				}
@@ -649,7 +650,7 @@ func TestPlanCacheConcurrentStatsNoTornReads(t *testing.T) {
 func TestPlanCacheConfigValidation(t *testing.T) {
 	m := serveModels(t)
 	arch := sim.GA100().Spec()
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -757,7 +758,7 @@ func FuzzPlanKeyGrid(f *testing.F) {
 	}
 	arch := sim.GA100().Spec()
 	mk := func(mems []float64) *PlanCache {
-		sw, err := m.NewGridSweeper(arch, arch.DesignClocks(), mems)
+		sw, err := m.NewSweeper(arch, arch.DesignClocks(), mems)
 		if err != nil {
 			f.Fatal(err)
 		}

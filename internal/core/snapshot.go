@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 )
 
 // snapshotVersion stamps the on-disk format. Bump on any change to the
@@ -96,12 +98,14 @@ func (c *PlanCache) Snapshot(w io.Writer) error {
 // The snapshot must match the cache's configuration: the key prefix
 // (architecture, objective, threshold, memory axis), quantization
 // quantum, and shard count are all stamped into the header and checked
-// here. A mismatch, an unknown version, or a corrupt/truncated file is
+// here. Every entry must carry the cache's key prefix and select clocks
+// on the sweeper's design grid (see checkEntry). A mismatch, an unknown
+// version, a corrupt/truncated file, or any entry failing its check is
 // refused with a descriptive error and leaves the cache unchanged (a
-// partial header never installs entries). Keys already present and
-// entries beyond a shard's LRU bound are skipped, so loading a snapshot
-// from a larger-capacity cache degrades to keeping each shard's
-// most-recent slice.
+// partial header or a bad entry never installs entries). Keys already
+// present and entries beyond a shard's LRU bound are skipped, so loading
+// a snapshot from a larger-capacity cache degrades to keeping each
+// shard's most-recent slice.
 func (c *PlanCache) LoadSnapshot(r io.Reader) (int, error) {
 	if c.cfg.Derive != nil {
 		return 0, errors.New("core: cache has a Derive payload hook; snapshots cannot capture derived payloads — warm the cache by replaying traffic instead")
@@ -126,6 +130,11 @@ func (c *PlanCache) LoadSnapshot(r io.Reader) (int, error) {
 	if snap.Count != len(snap.Entries) {
 		return 0, fmt.Errorf("core: truncated plan-cache snapshot: header promises %d entries, file holds %d", snap.Count, len(snap.Entries))
 	}
+	for i, se := range snap.Entries {
+		if err := c.checkEntry(se); err != nil {
+			return 0, fmt.Errorf("core: plan-cache snapshot entry %d: %w", i, err)
+		}
+	}
 	loaded := 0
 	for _, se := range snap.Entries {
 		sh := c.shardFor([]byte(se.Key))
@@ -144,6 +153,25 @@ func (c *PlanCache) LoadSnapshot(r io.Reader) (int, error) {
 		loaded++
 	}
 	return loaded, nil
+}
+
+// checkEntry refuses a snapshot entry this cache could never have
+// computed: a key outside the cache's prefix, or a selection whose clocks
+// are not points of the sweeper's design grid — a core clock outside
+// Freqs(), a memory clock outside MemFreqs(), or any memory clock on a
+// core-only sweep. The header checks cannot catch a tampered or corrupted
+// entry, and installing one would serve an unsupported clock as a hit.
+func (c *PlanCache) checkEntry(se snapshotEntry) error {
+	if !strings.HasPrefix(se.Key, c.prefix) {
+		return fmt.Errorf("key %q lacks the cache's key prefix %q", se.Key, c.prefix)
+	}
+	if !slices.Contains(c.sweeper.Freqs(), se.Sel.FreqMHz) {
+		return fmt.Errorf("key %q selects core clock %v MHz, which the sweep does not cover", se.Key, se.Sel.FreqMHz)
+	}
+	if mems := c.sweeper.MemFreqs(); mems == nil && se.Sel.MemFreqMHz != 0 || mems != nil && !slices.Contains(mems, se.Sel.MemFreqMHz) {
+		return fmt.Errorf("key %q selects memory clock %v MHz, which the sweep does not cover (have %v)", se.Key, se.Sel.MemFreqMHz, mems)
+	}
+	return nil
 }
 
 // SaveSnapshotFile writes the cache snapshot to path crash-safely: the

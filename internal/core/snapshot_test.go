@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +46,7 @@ func TestSnapshotWarmStartServesHitsWithoutSweeper(t *testing.T) {
 	runs := snapshotRuns()
 	want := make([]Selection, len(runs))
 	for i, r := range runs {
-		sel, _, err := warm.Select(r)
+		sel, _, _, err := warm.Select(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +72,7 @@ func TestSnapshotWarmStartServesHitsWithoutSweeper(t *testing.T) {
 		t.Fatalf("warm-started Len = %d, want %d", cold.Len(), warm.Len())
 	}
 	for i, r := range runs {
-		sel, hit, err := cold.Select(r)
+		sel, _, hit, err := cold.Select(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +98,7 @@ func TestSnapshotPreservesLRUOrder(t *testing.T) {
 	oldRun := syntheticRun(0.15, 0.20)
 	hotRun := syntheticRun(0.45, 0.20)
 	for _, r := range []dcgm.Run{oldRun, hotRun, hotRun} {
-		if _, _, err := warm.Select(r); err != nil {
+		if _, _, _, err := warm.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -109,13 +112,13 @@ func TestSnapshotPreservesLRUOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A third bucket must evict oldRun (the LRU), not hotRun.
-	if _, _, err := cold.Select(syntheticRun(0.75, 0.20)); err != nil {
+	if _, _, _, err := cold.Select(context.Background(), syntheticRun(0.75, 0.20)); err != nil {
 		t.Fatal(err)
 	}
-	if _, hit, err := cold.Select(hotRun); err != nil || !hit {
+	if _, _, hit, err := cold.Select(context.Background(), hotRun); err != nil || !hit {
 		t.Fatalf("hot entry was evicted after warm start (hit=%v, err=%v)", hit, err)
 	}
-	if _, hit, err := cold.Select(oldRun); err != nil || hit {
+	if _, _, hit, err := cold.Select(context.Background(), oldRun); err != nil || hit {
 		t.Fatalf("LRU entry survived past capacity after warm start (hit=%v, err=%v)", hit, err)
 	}
 }
@@ -142,7 +145,7 @@ func TestSnapshotCorruptAndTruncatedRefused(t *testing.T) {
 	cfg := PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1}
 	warm := planCacheFor(t, m, cfg)
 	for _, r := range snapshotRuns() {
-		if _, _, err := warm.Select(r); err != nil {
+		if _, _, _, err := warm.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +193,7 @@ func TestSnapshotConfigChangeRefused(t *testing.T) {
 	base := PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Quantum: 0.1, Shards: 4}
 	warm := planCacheFor(t, m, base)
 	for _, r := range snapshotRuns() {
-		if _, _, err := warm.Select(r); err != nil {
+		if _, _, _, err := warm.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,7 +204,7 @@ func TestSnapshotConfigChangeRefused(t *testing.T) {
 	snap := buf.Bytes()
 
 	arch := sim.GA100().Spec()
-	gridSweeper, err := m.NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
+	gridSweeper, err := m.NewSweeper(arch, arch.DesignClocks(), arch.MemClocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +294,7 @@ func TestSnapshotCapacityClip(t *testing.T) {
 	big := planCacheFor(t, m, PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Shards: 1, Capacity: 64})
 	runs := snapshotRuns()
 	for _, r := range runs {
-		if _, _, err := big.Select(r); err != nil {
+		if _, _, _, err := big.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,7 +311,7 @@ func TestSnapshotCapacityClip(t *testing.T) {
 		t.Fatalf("clip loaded %d entries, Len %d, want 3", n, small.Len())
 	}
 	// The kept slice is the MRU end: the last-touched runs hit.
-	if _, hit, err := small.Select(runs[len(runs)-1]); err != nil || !hit {
+	if _, _, hit, err := small.Select(context.Background(), runs[len(runs)-1]); err != nil || !hit {
 		t.Fatalf("MRU entry not kept by capacity clip (hit=%v, err=%v)", hit, err)
 	}
 }
@@ -319,7 +322,7 @@ func TestSaveSnapshotFileAtomicAndReloadable(t *testing.T) {
 	warm := planCacheFor(t, m, cfg)
 	runs := snapshotRuns()
 	for _, r := range runs {
-		if _, _, err := warm.Select(r); err != nil {
+		if _, _, _, err := warm.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,7 +354,7 @@ func TestSaveSnapshotFileAtomicAndReloadable(t *testing.T) {
 		t.Fatalf("reloaded %d entries, want %d", n, len(runs))
 	}
 	for _, r := range runs {
-		if _, hit, err := cold.Select(r); err != nil || !hit {
+		if _, _, hit, err := cold.Select(context.Background(), r); err != nil || !hit {
 			t.Fatalf("file round-trip lost an entry (hit=%v, err=%v)", hit, err)
 		}
 	}
@@ -375,4 +378,165 @@ func TestKeyHashMatchesShardStripe(t *testing.T) {
 	if got, want := KeyHash([]byte("a")), uint64(0xaf63dc4c8601ec8c); got != want {
 		t.Fatalf("KeyHash(a) = %#x, want %#x", got, want)
 	}
+}
+
+// warmSnapshot warms a cache over the GA100 design grid (memory axis
+// mems, nil for core-only) with a few synthetic runs and returns the
+// cache's sweeper and its snapshot bytes.
+func warmSnapshot(m *Models, cfg PlanCacheConfig, mems []float64) (*Sweeper, []byte, error) {
+	arch := sim.GA100().Spec()
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), mems)
+	if err != nil {
+		return nil, nil, err
+	}
+	warm, err := NewPlanCache(sw, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, r := range snapshotRuns()[:5] {
+		if _, _, _, err := warm.Select(context.Background(), r); err != nil {
+			return nil, nil, err
+		}
+	}
+	var buf bytes.Buffer
+	if err := warm.Snapshot(&buf); err != nil {
+		return nil, nil, err
+	}
+	return sw, buf.Bytes(), nil
+}
+
+// offGridEntries lists every installed entry the cache could not have
+// computed: a key without the cache's prefix, a core clock outside the
+// sweep, a memory clock outside the sweep's memory axis, or any memory
+// clock on a core-only sweep.
+func offGridEntries(c *PlanCache) []string {
+	var bad []string
+	freqs, mems := c.sweeper.Freqs(), c.sweeper.MemFreqs()
+	for i := range c.shards {
+		for key, e := range c.shards[i].entries {
+			memOK := e.sel.MemFreqMHz == 0
+			if mems != nil {
+				memOK = slices.Contains(mems, e.sel.MemFreqMHz)
+			}
+			if !strings.HasPrefix(key, c.prefix) || !slices.Contains(freqs, e.sel.FreqMHz) || !memOK {
+				bad = append(bad, fmt.Sprintf("%q → %+v", key, e.sel))
+			}
+		}
+	}
+	return bad
+}
+
+// TestSnapshotOffGridEntryRefused: a snapshot whose header matches the
+// cache but whose last entry selects a clock off the design grid, or
+// carries a foreign key, is refused whole. The cache stays empty and the
+// tampered clock is never served.
+func TestSnapshotOffGridEntryRefused(t *testing.T) {
+	m := serveModels(t)
+	cfg := PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1}
+	arch := sim.GA100().Spec()
+	for _, mems := range [][]float64{nil, arch.MemClocks()} {
+		sw, raw, err := warmSnapshot(m, cfg, mems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases := []struct {
+			name string
+			edit func(*snapshotEntry)
+		}{
+			{"core clock off the grid", func(e *snapshotEntry) { e.Sel.FreqMHz = 12345 }},
+			{"foreign key prefix", func(e *snapshotEntry) { e.Key = "GV100|" + e.Key }},
+			{"memory clock off the axis", func(e *snapshotEntry) { e.Sel.MemFreqMHz = 999 }},
+		}
+		if mems != nil {
+			cases = append(cases, struct {
+				name string
+				edit func(*snapshotEntry)
+			}{"no memory clock on a grid sweep", func(e *snapshotEntry) { e.Sel.MemFreqMHz = 0 }})
+		}
+		for _, tc := range cases {
+			var snap snapshotFile
+			if err := json.Unmarshal(raw, &snap); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(&snap.Entries[len(snap.Entries)-1])
+			tampered, err := json.Marshal(&snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := NewPlanCache(sw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cold.LoadSnapshot(bytes.NewReader(tampered)); err == nil || !strings.Contains(err.Error(), "entry 4") {
+				t.Errorf("mems %v, %s: tampered snapshot not refused at its entry (err %v)", mems, tc.name, err)
+			}
+			if cold.Len() != 0 {
+				t.Errorf("mems %v, %s: refused snapshot installed %d entries", mems, tc.name, cold.Len())
+			}
+		}
+		// The untampered snapshot still loads in full.
+		cold, err := NewPlanCache(sw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := cold.LoadSnapshot(bytes.NewReader(raw)); err != nil || n != 5 {
+			t.Fatalf("mems %v: clean snapshot loaded %d entries (err %v)", mems, n, err)
+		}
+	}
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot on core-only and
+// grid caches already warmed from a real snapshot. It must never panic.
+// A refused load must leave the cache unchanged (its snapshot bytes are
+// identical before and after); an accepted one may only add entries on
+// the cache's key prefix and design grid.
+func FuzzLoadSnapshot(f *testing.F) {
+	m, err := serveModelsErr()
+	if err != nil {
+		f.Fatal(err)
+	}
+	cfg := PlanCacheConfig{Objective: objective.EDP{}, Threshold: -1, Shards: 4}
+	type target struct {
+		sw   *Sweeper
+		seed []byte
+	}
+	var targets []target
+	for _, mems := range [][]float64{nil, sim.GA100().Spec().MemClocks()} {
+		sw, raw, err := warmSnapshot(m, cfg, mems)
+		if err != nil {
+			f.Fatal(err)
+		}
+		targets = append(targets, target{sw, raw})
+		f.Add(raw)
+	}
+	f.Add([]byte(`{"version":1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, tg := range targets {
+			pc, err := NewPlanCache(tg.sw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pc.LoadSnapshot(bytes.NewReader(tg.seed)); err != nil {
+				t.Fatal(err)
+			}
+			var before bytes.Buffer
+			if err := pc.Snapshot(&before); err != nil {
+				t.Fatal(err)
+			}
+			n, err := pc.LoadSnapshot(bytes.NewReader(data))
+			if err != nil {
+				var after bytes.Buffer
+				if err := pc.Snapshot(&after); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(before.Bytes(), after.Bytes()) {
+					t.Fatalf("refused load (%v) changed the cache", err)
+				}
+				continue
+			}
+			if bad := offGridEntries(pc); len(bad) > 0 {
+				t.Fatalf("accepted load installed %d entries the cache could not compute: %v", n, bad)
+			}
+		}
+	})
 }

@@ -21,14 +21,13 @@ import (
 // bit-identical output included.
 //
 // Everything that does not depend on the profiling run is pre-resolved at
-// construction: the clock and mem-clock feature column indices, their
-// per-grid-point values *after scaling* (the static plane), and per-call
-// workspaces behind a sync.Pool whose sweep matrices carry the static
-// columns pre-staged. Each PredictProfileInto call therefore only scales
-// the mean-sample features once (one row through the scaler, not one per
-// grid point), broadcasts them into the dynamic columns, and runs two
-// pooled batch inferences. At steady state the whole call performs zero
-// heap allocations.
+// construction: the clock and mem-clock feature column indices and their
+// per-grid-point values *after scaling* (the static plane). Pooled,
+// grow-only workspaces carry the static columns pre-staged, so each sweep
+// only scales the mean-sample features once per run (one row through the
+// scaler, not one per grid point), broadcasts them into the dynamic
+// columns, and runs one batch inference per model. At steady state a
+// sweep performs zero heap allocations.
 //
 // Only rows the models can tell apart are inferred. When the feature
 // layout has no mem_app_clock column, every memory clock sees the same
@@ -65,22 +64,10 @@ type Sweeper struct {
 	scaledClock []float64
 	scaledMem   []float64
 
-	pool      sync.Pool // *sweepWS
-	batchPool sync.Pool // *batchWS, grow-only over batch size
+	pool sync.Pool // *batchWS, grow-only over batch size
 }
 
-// sweepWS is one in-flight call's workspace. The sweep matrix x has the
-// static clock/mem columns staged at workspace birth; calls write only
-// the dynamic columns.
-type sweepWS struct {
-	base    []float64   // feature vector of the mean sample at max clock
-	baseRow [][]float64 // one-row view of base, for the in-place scaler
-	x       *mat.Matrix // nRows × len(features) sweep matrix
-	pP      *mat.Matrix // power predictions, nRows × 1
-	tP      *mat.Matrix // time predictions, nRows × 1
-}
-
-// batchWS is one in-flight fused-batch call's workspace: the stacked
+// batchWS is one in-flight sweep's workspace: the stacked
 // (B·nRows) × len(features) sweep matrix and its prediction columns. All
 // buffers are grow-only, so a workspace that has served the largest batch
 // once serves every later batch without allocating. stagedRows tracks how
@@ -88,11 +75,11 @@ type sweepWS struct {
 // re-staged only when the backing array is reallocated or the batch
 // grows past everything staged before.
 type batchWS struct {
-	base       []float64
-	baseRow    [][]float64
-	x          *mat.Matrix
-	pP         *mat.Matrix
-	tP         *mat.Matrix
+	base       []float64   // feature vector of one run's mean sample at max clock
+	baseRow    [][]float64 // one-row view of base, for the in-place scaler
+	x          *mat.Matrix // (B·nRows) × len(features) sweep matrix
+	pP         *mat.Matrix // power predictions, (B·nRows) × 1
+	tP         *mat.Matrix // time predictions, (B·nRows) × 1
 	stagedRows int
 }
 
@@ -109,18 +96,12 @@ func reshapeMat(m **mat.Matrix, rows, cols int) (_ *mat.Matrix, grew bool) {
 	return *m, false
 }
 
-// NewSweeper builds a 1-D sweeper for predicting m's profiles on target
-// across freqs — NewGridSweeper without a memory axis.
-func (m *Models) NewSweeper(target backend.Arch, freqs []float64) (*Sweeper, error) {
-	return m.NewGridSweeper(target, freqs, nil)
-}
-
-// NewGridSweeper builds a sweeper over the (freqs × memFreqs) design grid
-// on target. memFreqs nil selects the historical 1-D core-only sweep;
+// NewSweeper builds a sweeper over the (freqs × memFreqs) design grid on
+// target. memFreqs nil selects the historical 1-D core-only sweep;
 // non-nil entries must be memory P-states the target supports. The
 // feature layout, model shapes, and the static plane are resolved once
 // here so the per-call path cannot fail on them.
-func (m *Models) NewGridSweeper(target backend.Arch, freqs, memFreqs []float64) (*Sweeper, error) {
+func (m *Models) NewSweeper(target backend.Arch, freqs, memFreqs []float64) (*Sweeper, error) {
 	if m.Power == nil || m.Time == nil {
 		return nil, errors.New("core: sweeper needs trained power and time models")
 	}
@@ -208,17 +189,6 @@ func (m *Models) NewGridSweeper(target backend.Arch, freqs, memFreqs []float64) 
 
 	nf := len(m.Features)
 	s.pool.New = func() any {
-		ws := &sweepWS{
-			base: make([]float64, nf),
-			x:    mat.New(s.nRows, nf),
-			pP:   mat.New(s.nRows, 1),
-			tP:   mat.New(s.nRows, 1),
-		}
-		ws.baseRow = [][]float64{ws.base}
-		s.stageStatic(ws.x, 0, s.nRows)
-		return ws
-	}
-	s.batchPool.New = func() any {
 		ws := &batchWS{base: make([]float64, nf)}
 		ws.baseRow = [][]float64{ws.base}
 		return ws
@@ -377,11 +347,13 @@ func (s *Sweeper) matches(target backend.Arch, freqs, memFreqs []float64) bool {
 	return true
 }
 
-// validateRun applies the online phase's profiling-run preconditions, with
-// the same error messages PredictProfile always produced. Profiling must
+// ValidateRun applies the online phase's profiling-run preconditions
+// without predicting anything; every sweep runs it first. Profiling must
 // happen at the maximum core clock and the default memory P-state — the
-// grid corner every other design point is extrapolated from.
-func (s *Sweeper) validateRun(maxRun dcgm.Run) error {
+// grid corner every other design point is extrapolated from. Serving
+// layers call it to reject a bad request before it is queued, keeping
+// the fused batch path error-free.
+func (s *Sweeper) ValidateRun(maxRun dcgm.Run) error {
 	if len(maxRun.Samples) == 0 {
 		return errors.New("core: profiling run has no samples")
 	}
@@ -405,39 +377,22 @@ func (s *Sweeper) validateRun(maxRun dcgm.Run) error {
 // axis — a signal that the models are undertrained for this workload,
 // surfaced instead of silently masked.
 //
-// Zero heap allocations at steady state; without a memory axis,
-// bit-identical to Models.PredictProfile's historical 1-D output.
+// It is a batch of one through the PredictProfilesInto path: zero heap
+// allocations at steady state and, without a memory axis, bit-identical
+// to Models.PredictProfile's historical 1-D output.
 func (s *Sweeper) PredictProfileInto(dst []objective.Profile, maxRun dcgm.Run) (Clamps, error) {
-	var cl Clamps
-	if err := s.validateRun(maxRun); err != nil {
-		return cl, err
+	if err := s.ValidateRun(maxRun); err != nil {
+		return Clamps{}, err
 	}
 	if len(dst) != s.nGrid {
-		return cl, fmt.Errorf("core: profile buffer has %d entries, sweep has %d design points", len(dst), s.nGrid)
+		return Clamps{}, fmt.Errorf("core: profile buffer has %d entries, sweep has %d design points", len(dst), s.nGrid)
 	}
-	m := s.models
-	mean := maxRun.MeanSample()
-	ws := s.pool.Get().(*sweepWS)
-	defer s.pool.Put(ws)
-
-	if err := s.scaleBase(ws.base, ws.baseRow, mean); err != nil {
-		return cl, err
-	}
-	s.fillDynamic(ws.x, 0, ws.base)
-	if err := m.Power.Predictor().PredictMatInto(ws.pP, ws.x); err != nil {
-		return cl, fmt.Errorf("core: power prediction: %w", err)
-	}
-	if err := m.Time.Predictor().PredictMatInto(ws.tP, ws.x); err != nil {
-		return cl, fmt.Errorf("core: time prediction: %w", err)
-	}
-	s.compose(dst, &cl, ws.pP, ws.tP, 0, maxRun.ExecTimeSec)
-	return cl, nil
+	dsts := [1][]objective.Profile{dst}
+	runs := [1]dcgm.Run{maxRun}
+	var clamped [1]Clamps
+	err := s.predictBatch(dsts[:], clamped[:], runs[:])
+	return clamped[0], err
 }
-
-// ValidateRun applies the online phase's profiling-run preconditions
-// without predicting anything. Serving layers use it to reject a bad
-// request before it is queued, keeping the fused batch path error-free.
-func (s *Sweeper) ValidateRun(maxRun dcgm.Run) error { return s.validateRun(maxRun) }
 
 // PredictProfilesInto runs the online phase for a batch of profiling runs
 // through ONE fused forward pass per model: the runs' sweep rows are
@@ -462,18 +417,24 @@ func (s *Sweeper) PredictProfilesInto(dsts [][]objective.Profile, clamped []Clam
 		return nil
 	}
 	for i, r := range runs {
-		if err := s.validateRun(r); err != nil {
+		if err := s.ValidateRun(r); err != nil {
 			return fmt.Errorf("core: batch run %d: %w", i, err)
 		}
 		if len(dsts[i]) != s.nGrid {
 			return fmt.Errorf("core: batch profile buffer %d has %d entries, sweep has %d design points", i, len(dsts[i]), s.nGrid)
 		}
 	}
+	return s.predictBatch(dsts, clamped, runs)
+}
+
+// predictBatch is the one sweep body behind PredictProfilesInto and
+// PredictProfileInto, over runs and buffers already validated.
+func (s *Sweeper) predictBatch(dsts [][]objective.Profile, clamped []Clamps, runs []dcgm.Run) error {
 	m := s.models
 	nf := len(m.Features)
 	rows := len(runs) * s.nRows
-	ws := s.batchPool.Get().(*batchWS)
-	defer s.batchPool.Put(ws)
+	ws := s.pool.Get().(*batchWS)
+	defer s.pool.Put(ws)
 	x, grew := reshapeMat(&ws.x, rows, nf)
 	if grew {
 		ws.stagedRows = 0
@@ -515,30 +476,20 @@ func (s *Sweeper) PredictProfile(maxRun dcgm.Run) ([]objective.Profile, Clamps, 
 	return out, clamped, nil
 }
 
-// SweeperFor returns the memoized serving sweeper for (target, freqs):
-// every caller asking for the same target and frequency list shares one
+// GridSweeperFor returns the memoized serving sweeper for (target, freqs,
+// memFreqs): every caller asking for the same design space shares one
 // Sweeper (and therefore one workspace pool), which is the concurrency
-// model the serving layer and multi-governor deployments rely on.
-func (m *Models) SweeperFor(target backend.Arch, freqs []float64) (*Sweeper, error) {
-	return m.sweeperFor(target, freqs, nil)
-}
-
-// GridSweeperFor is SweeperFor over the (core × mem) design grid.
-func (m *Models) GridSweeperFor(target backend.Arch, freqs, memFreqs []float64) (*Sweeper, error) {
-	return m.sweeperFor(target, freqs, memFreqs)
-}
-
-// sweeperFor returns a memoized sweeper for (target, freqs, memFreqs),
-// rebuilding only when the target identity, frequency list, or memory
-// axis changes. One slot per architecture name: the common serving
+// model the serving layer and multi-governor deployments rely on. The
+// memo keeps one slot per architecture name, rebuilt only when the target
+// identity, frequency list, or memory axis changes: the common serving
 // pattern is a stable design-space sweep per target.
-func (m *Models) sweeperFor(target backend.Arch, freqs, memFreqs []float64) (*Sweeper, error) {
+func (m *Models) GridSweeperFor(target backend.Arch, freqs, memFreqs []float64) (*Sweeper, error) {
 	m.swMu.Lock()
 	defer m.swMu.Unlock()
 	if sw := m.sweepers[target.Name]; sw != nil && sw.matches(target, freqs, memFreqs) {
 		return sw, nil
 	}
-	sw, err := m.NewGridSweeper(target, freqs, memFreqs)
+	sw, err := m.NewSweeper(target, freqs, memFreqs)
 	if err != nil {
 		return nil, err
 	}

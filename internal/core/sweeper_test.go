@@ -64,7 +64,7 @@ func TestSweeperZeroAlloc(t *testing.T) {
 	}
 	runs := sweepRuns(t, 4)
 	for _, c := range cases {
-		sw, err := c.m.NewGridSweeper(arch, arch.DesignClocks(), c.memFreqs)
+		sw, err := c.m.NewSweeper(arch, arch.DesignClocks(), c.memFreqs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func TestGridSweepCoreOnlyModel(t *testing.T) {
 		if !slices.Equal(m.Features, dataset.PaperFeatures) {
 			t.Fatalf("%s: features %v, want the paper's %v", name, m.Features, dataset.PaperFeatures)
 		}
-		sw, err := m.NewGridSweeper(arch, freqs, mems)
+		sw, err := m.NewSweeper(arch, freqs, mems)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,6 +140,61 @@ func TestGridSweepCoreOnlyModel(t *testing.T) {
 			for i := range gotP {
 				if !gridProfilesIdentical(gotP[i], wantP[i]) || gotC[i] != wantC[i] {
 					t.Fatalf("%s batch %d run %d: fused sweep differs from naiveSweep", name, batch, i)
+				}
+			}
+		}
+	}
+}
+
+// TestPredictProfileIntoMatchesBatchOfN pins the one sweep path from the
+// batch side: every run swept alone through PredictProfileInto yields
+// exactly its slice of one fused PredictProfilesInto call over N runs —
+// profiles bit for bit, clamps count for count. Single sweeps run both
+// on a fresh sweeper (workspaces born at batch size 1) and on the fused
+// call's sweeper after a larger batch grew its pooled workspaces, over
+// the 1-D line, the 2-D grid with a memory-feature model, and the 2-D
+// grid with a core-only model.
+func TestPredictProfileIntoMatchesBatchOfN(t *testing.T) {
+	arch := sim.GA100().Spec()
+	cases := []struct {
+		name     string
+		m        *Models
+		memFreqs []float64
+	}{
+		{"1-D", serveModels(t), nil},
+		{"2-D mem model", gridModels(t), arch.MemClocks()},
+		{"2-D core-only model", serveModels(t), arch.MemClocks()},
+	}
+	runs := sweepRuns(t, 7)
+	for i := range runs {
+		runs[i].ExecTimeSec *= 1 + 0.1*float64(i) // distinct per-run time scales
+	}
+	for _, c := range cases {
+		fused, err := c.m.NewSweeper(arch, arch.DesignClocks(), c.memFreqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.m.NewSweeper(arch, arch.DesignClocks(), c.memFreqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := profileBufs(fused, len(runs))
+		wantC := make([]Clamps, len(runs))
+		if err := fused.PredictProfilesInto(want, wantC, runs); err != nil {
+			t.Fatal(err)
+		}
+		for _, sw := range []*Sweeper{fresh, fused} {
+			for i, r := range runs {
+				got := make([]objective.Profile, sw.GridSize())
+				gotC, err := sw.PredictProfileInto(got, r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !gridProfilesIdentical(got, want[i]) {
+					t.Fatalf("%s: run %d swept alone diverges from its slice of the batch of %d", c.name, i, len(runs))
+				}
+				if gotC != wantC[i] {
+					t.Fatalf("%s: run %d clamps %+v alone, %+v in the batch", c.name, i, gotC, wantC[i])
 				}
 			}
 		}

@@ -256,7 +256,7 @@ func (c *Context) Online(archName, app string) (*core.OnlineResult, error) {
 			return
 		}
 		dev := sim.New(arch, c.cfg.Seed+hashString(key)+2)
-		e.val, e.err = core.OnlinePredict(dev, off.Models, w, dcgm.Config{Seed: c.cfg.Seed + hashString(key) + 3})
+		e.val, e.err = core.OnlinePredict(dev, off.Models, w, dcgm.Config{Seed: c.cfg.Seed + hashString(key) + 3}, nil)
 	})
 	return e.val, e.err
 }

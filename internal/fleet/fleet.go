@@ -28,6 +28,7 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -423,7 +424,7 @@ func (s *Sim) runRep(rep int) (RepResult, error) {
 
 	if cfg.Prewarm {
 		for _, r := range s.runs {
-			if _, _, _, err := pc.SelectDerived(r); err != nil {
+			if _, _, _, err := pc.Select(context.Background(), r); err != nil {
 				return RepResult{}, fmt.Errorf("fleet: prewarm: %w", err)
 			}
 		}
@@ -511,7 +512,7 @@ func (s *Sim) runRep(rep int) (RepResult, error) {
 func (e *engine) arrive(key int32) error {
 	cfg := &e.sim.cfg
 	t0 := time.Now()
-	_, derived, _, err := e.pc.SelectDerived(e.sim.runs[key])
+	_, derived, _, err := e.pc.Select(context.Background(), e.sim.runs[key])
 	lat := time.Since(t0)
 	if err != nil {
 		return fmt.Errorf("fleet: planning arrival %d: %w", e.arrivals, err)

@@ -40,7 +40,7 @@ func fleetModels(tb testing.TB) *core.Models {
 func fleetSweeper(tb testing.TB) *core.Sweeper {
 	tb.Helper()
 	arch := sim.GA100().Spec()
-	sw, err := fleetModels(tb).NewSweeper(arch, arch.DesignClocks())
+	sw, err := fleetModels(tb).NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

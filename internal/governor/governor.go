@@ -73,10 +73,6 @@ type Config struct {
 	// With FuseStatic 0 the weight is identically 0, bit-identical to the
 	// fusion-free governor.
 	FuseAdaptive bool
-	// PhasedTuning makes every tune in the Run loop predict from the
-	// dominant phase of the profiling telemetry (the TunePhased strategy)
-	// instead of the whole-stream mean. One-shot Tune is unaffected.
-	PhasedTuning bool
 
 	// PhaseCacheSize bounds the governor's phase-memoization cache: the
 	// number of tuned phases whose selections are retained for
@@ -260,9 +256,9 @@ func (g *Governor) Stats() Stats { return g.stats }
 
 // sweeper lazily resolves the design-space sweeper and the governor-owned
 // profile buffer the tune paths predict into. It goes through the models'
-// memoized SweeperFor, so every governor (and the serving layer) over the
-// same models and target shares one workspace-pooled sweeper — the profile
-// buffer stays per-governor.
+// memoized GridSweeperFor, so every governor (and the serving layer) over
+// the same models and target shares one workspace-pooled sweeper — the
+// profile buffer stays per-governor.
 func (g *Governor) sweeper() (*core.Sweeper, error) {
 	if g.sw == nil {
 		sw, err := g.models.GridSweeperFor(g.dev.Arch(), g.dev.Arch().DesignClocks(), g.cfg.MemFreqs)
@@ -369,16 +365,11 @@ func (g *Governor) tuneFrom(app backend.Workload, run dcgm.Run) (core.Selection,
 	return sel, nil
 }
 
-// Drifted reports whether sample s departs from the profiling baseline by
-// more than the configured tolerance in fp_active or dram_active — the
-// two features whose invariance justifies keeping the current frequency.
-func (g *Governor) Drifted(s dcgm.Sample) bool {
-	return g.driftedFeatures(s.FPActive(), s.DRAMActive)
-}
-
-// driftedFeatures is Drifted on the bare feature pair — what the streaming
-// loop feeds from its per-run telemetry accumulators without materializing
-// a sample.
+// driftedFeatures reports whether the feature pair (fp_active,
+// dram_active) departs from the profiling baseline by more than the
+// configured tolerance in either feature — the two features whose
+// invariance justifies keeping the current frequency. The streaming loop
+// feeds it from its per-run telemetry accumulators.
 func (g *Governor) driftedFeatures(fp, dram float64) bool {
 	return relDiff(fp, g.baseline.FPActive()) > g.cfg.DriftTolerance ||
 		relDiff(dram, g.baseline.DRAMActive) > g.cfg.DriftTolerance
@@ -412,59 +403,4 @@ func relDiff(a, b float64) float64 {
 		den = eps
 	}
 	return d / den
-}
-
-// RunOutcome is one governed execution of the application.
-type RunOutcome struct {
-	FreqMHz      float64
-	TimeSec      float64
-	EnergyJoules float64
-	Drifted      bool
-	Retuned      bool
-}
-
-// ProcessRun executes app once at the governed clock, observes its
-// telemetry for drift, and re-tunes (re-profiles and re-selects) when
-// drift has persisted for ReprofileAfter consecutive runs. The app passed
-// here may differ from the one last tuned for — that is exactly the
-// situation the governor exists to notice.
-func (g *Governor) ProcessRun(app backend.Workload) (RunOutcome, error) {
-	if !g.tuned {
-		if _, err := g.Tune(app); err != nil {
-			return RunOutcome{}, err
-		}
-	}
-	coll := dcgm.NewCollector(g.dev, dcgm.Config{
-		Freqs: []float64{g.selection.FreqMHz},
-		Runs:  1,
-		Seed:  g.cfg.ProfileSeed + 1000 + int64(g.stats.Runs),
-	})
-	runs, err := coll.CollectWorkload(app)
-	if err != nil {
-		return RunOutcome{}, err
-	}
-	// CollectWorkload restores the default core clock (it never touches the
-	// memory P-state with no MemFreqs configured); re-pin the governed pair.
-	if err := g.pin(g.selection); err != nil {
-		return RunOutcome{}, err
-	}
-	run := runs[0]
-	out := RunOutcome{
-		FreqMHz:      run.FreqMHz,
-		TimeSec:      run.ExecTimeSec,
-		EnergyJoules: run.EnergyJoules,
-	}
-	g.stats.Runs++
-	g.stats.EnergyJoules += run.EnergyJoules
-	g.stats.TimeSeconds += run.ExecTimeSec
-
-	out.Drifted = g.Drifted(run.MeanSample())
-	if g.noteDrift(out.Drifted) {
-		if _, err := g.Tune(app); err != nil {
-			return RunOutcome{}, err
-		}
-		out.Retuned = true
-		g.stats.Retunes++
-	}
-	return out, nil
 }

@@ -1,6 +1,7 @@
 package governor
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -10,7 +11,6 @@ import (
 	"gpudvfs/internal/dataset"
 	"gpudvfs/internal/dcgm"
 	"gpudvfs/internal/objective"
-	"gpudvfs/internal/trace"
 	"gpudvfs/internal/workloads"
 )
 
@@ -102,6 +102,29 @@ func TestTuneAppliesClock(t *testing.T) {
 	}
 }
 
+// runEach drives g.Run over apps one item at a time and returns each
+// item's report; governor state persists between the calls.
+func runEach(t *testing.T, g *Governor, apps ...backend.Workload) []RunReport {
+	t.Helper()
+	reps := make([]RunReport, len(apps))
+	for i, app := range apps {
+		rep, err := g.Run(context.Background(), workloads.NewSequence(app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = rep
+	}
+	return reps
+}
+
+func repeat(app backend.Workload, n int) []backend.Workload {
+	items := make([]backend.Workload, n)
+	for i := range items {
+		items[i] = app
+	}
+	return items
+}
+
 func TestStableWorkloadDoesNotRetune(t *testing.T) {
 	dev := sim.New(sim.GA100(), 3)
 	g, err := New(dev, quickModels(t), DefaultConfig())
@@ -112,13 +135,9 @@ func TestStableWorkloadDoesNotRetune(t *testing.T) {
 	if _, err := g.Tune(app); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 8; i++ {
-		out, err := g.ProcessRun(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.Retuned {
-			t.Fatalf("run %d retuned on a stable workload", i)
+	for i, rep := range runEach(t, g, repeat(app, 8)...) {
+		if rep.Retunes != 0 || rep.TunedRuns != 0 {
+			t.Fatalf("run %d retuned on a stable workload: %+v", i, rep)
 		}
 	}
 	if g.Stats().Retunes != 0 {
@@ -127,7 +146,7 @@ func TestStableWorkloadDoesNotRetune(t *testing.T) {
 }
 
 // TestInputSizeChangeDoesNotRetune pins the paper's size-invariance claim
-// at the governor level: a 4× larger input is not drift.
+// at the governor level (§4.2.3): a 2× or 4× larger input is not drift.
 func TestInputSizeChangeDoesNotRetune(t *testing.T) {
 	dev := sim.New(sim.GA100(), 4)
 	g, err := New(dev, quickModels(t), DefaultConfig())
@@ -138,24 +157,25 @@ func TestInputSizeChangeDoesNotRetune(t *testing.T) {
 	if _, err := g.Tune(app); err != nil {
 		t.Fatal(err)
 	}
-	bigger, err := app.WithInputScale(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		out, err := g.ProcessRun(bigger)
+	var items []backend.Workload
+	for _, scale := range []float64{2, 4} {
+		bigger, err := app.WithInputScale(scale)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out.Retuned {
-			t.Fatalf("run %d retuned on an input-size change", i)
+		items = append(items, repeat(bigger, 4)...)
+	}
+	for i, rep := range runEach(t, g, items...) {
+		if rep.Retunes != 0 || rep.TunedRuns != 0 {
+			t.Fatalf("run %d retuned on an input-size change: %+v", i, rep)
 		}
 	}
 }
 
 // TestCharacterChangeRetunes pins the governor's purpose: swapping a
 // compute-bound phase for a memory-bound one is drift and triggers a
-// re-tune after the hysteresis window.
+// re-tune after the hysteresis window. The re-profile executes the item
+// after the one that completed the hysteresis.
 func TestCharacterChangeRetunes(t *testing.T) {
 	dev := sim.New(sim.GA100(), 5)
 	cfg := DefaultConfig()
@@ -168,66 +188,79 @@ func TestCharacterChangeRetunes(t *testing.T) {
 		t.Fatal(err)
 	}
 	retunedAt := -1
-	for i := 0; i < 5; i++ {
-		out, err := g.ProcessRun(workloads.STREAM())
-		if err != nil {
-			t.Fatal(err)
+	for i, rep := range runEach(t, g, repeat(workloads.STREAM(), 5)...) {
+		if retunedAt < 0 && rep.Retunes == 0 && rep.DriftedRuns != 1 {
+			t.Fatalf("run %d: memory-bound phase not flagged as drift: %+v", i, rep)
 		}
-		if !out.Drifted && retunedAt < 0 {
-			t.Fatalf("run %d: memory-bound phase not flagged as drift", i)
-		}
-		if out.Retuned {
+		if rep.Retunes == 1 && rep.TunedRuns == 1 && retunedAt < 0 {
 			retunedAt = i
-			break
+		}
+		if retunedAt >= 0 && i > retunedAt && (rep.DriftedRuns != 0 || rep.Retunes != 0) {
+			t.Fatalf("run %d drifted off the re-tuned baseline: %+v", i, rep)
 		}
 	}
-	if retunedAt != 1 { // hysteresis 2 → second drifted run retunes
-		t.Fatalf("retuned at run %d, want 1", retunedAt)
+	if retunedAt != 2 { // hysteresis 2 → the third run re-profiles
+		t.Fatalf("retuned at run %d, want 2", retunedAt)
 	}
 	if g.Stats().Retunes != 1 || g.Stats().Tunes != 2 {
 		t.Fatalf("stats = %+v", g.Stats())
 	}
 }
 
-func TestProcessRunAutoTunes(t *testing.T) {
+// TestRunAutoTunes: an untuned governor's first item is its profiling run
+// at the maximum clock, and the device ends pinned to the selection.
+func TestRunAutoTunes(t *testing.T) {
 	dev := sim.New(sim.GA100(), 6)
 	g, err := New(dev, quickModels(t), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.ProcessRun(workloads.NAMD())
-	if err != nil {
-		t.Fatal(err)
+	rep := runEach(t, g, workloads.NAMD())[0]
+	if g.Stats().Tunes != 1 || rep.TunedRuns != 1 || rep.Runs != 1 {
+		t.Fatalf("Run did not auto-tune: %+v", rep)
 	}
-	if g.Stats().Tunes != 1 {
-		t.Fatal("ProcessRun did not auto-tune")
+	if rep.TimeSeconds <= 0 || rep.EnergyJoules <= 0 {
+		t.Fatalf("degenerate report %+v", rep)
 	}
-	if out.TimeSec <= 0 || out.EnergyJoules <= 0 {
-		t.Fatalf("degenerate outcome %+v", out)
+	if dev.Clock() != g.Selection().FreqMHz {
+		t.Fatalf("device at %v MHz, selection %v", dev.Clock(), g.Selection().FreqMHz)
 	}
 }
 
+// TestStatsAccumulate: the governor's counters split the per-item reports
+// into profiling and governed ledgers, and one Run over a whole sequence
+// accounts exactly what per-item Run calls do.
 func TestStatsAccumulate(t *testing.T) {
-	dev := sim.New(sim.GA100(), 7)
-	g, err := New(dev, quickModels(t), DefaultConfig())
+	app := workloads.BERT()
+	g, err := New(sim.New(sim.GA100(), 7), quickModels(t), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := workloads.BERT()
-	var energy float64
-	for i := 0; i < 3; i++ {
-		out, err := g.ProcessRun(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		energy += out.EnergyJoules
-	}
+	reps := runEach(t, g, repeat(app, 3)...)
 	s := g.Stats()
-	if s.Runs != 3 {
-		t.Fatalf("runs = %d", s.Runs)
+	if s.Runs != 2 || s.Tunes != 1 {
+		t.Fatalf("governed runs = %d, tunes = %d, want 2 and 1", s.Runs, s.Tunes)
 	}
-	if s.EnergyJoules != energy {
-		t.Fatalf("energy %v != %v", s.EnergyJoules, energy)
+	if s.ProfileEnergyJoules != reps[0].EnergyJoules {
+		t.Fatalf("profile energy %v != %v", s.ProfileEnergyJoules, reps[0].EnergyJoules)
+	}
+	if want := reps[1].EnergyJoules + reps[2].EnergyJoules; s.EnergyJoules != want {
+		t.Fatalf("energy %v != %v", s.EnergyJoules, want)
+	}
+
+	whole, err := New(sim.New(sim.GA100(), 7), quickModels(t), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := whole.Run(context.Background(), workloads.NewSequence(repeat(app, 3)...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := reps[0].EnergyJoules + reps[1].EnergyJoules + reps[2].EnergyJoules; rep.EnergyJoules != want || rep.Runs != 3 {
+		t.Fatalf("whole-stream report %+v, per-item energy %v", rep, want)
+	}
+	if whole.Stats() != s {
+		t.Fatalf("whole-stream stats %+v != per-item stats %+v", whole.Stats(), s)
 	}
 }
 
@@ -244,54 +277,6 @@ func TestRelDiff(t *testing.T) {
 	}
 }
 
-func TestTunePhased(t *testing.T) {
-	dev := sim.New(sim.GA100(), 8)
-	g, err := New(dev, quickModels(t), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.TunePhased(workloads.LAMMPS(), trace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sim.GA100().IsSupported(res.Selection.FreqMHz) {
-		t.Fatalf("unsupported clock %v", res.Selection.FreqMHz)
-	}
-	if len(res.Segments) == 0 {
-		t.Fatal("no segments")
-	}
-	if res.DominantShare <= 0 || res.DominantShare > 1 {
-		t.Fatalf("dominant share %v", res.DominantShare)
-	}
-	if dev.Clock() != res.Selection.FreqMHz {
-		t.Fatal("clock not applied")
-	}
-	if g.Stats().Tunes != 1 {
-		t.Fatalf("tunes = %d", g.Stats().Tunes)
-	}
-}
-
-// TestTunePhasedHostHeavy pins the point of phase-aware tuning: for a
-// host-heavy application the profiling stream splits into GPU-busy and
-// idle phases, and the dominant-phase share reflects the mix.
-func TestTunePhasedHostHeavy(t *testing.T) {
-	dev := sim.New(sim.GA100(), 9)
-	g, err := New(dev, quickModels(t), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := g.TunePhased(workloads.GROMACS(), trace.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Segments) < 2 {
-		t.Skipf("phase detector merged the stream (share %v)", res.DominantShare)
-	}
-	if res.DominantShare >= 1 {
-		t.Fatalf("host-heavy app should not be single-phase: %v", res.DominantShare)
-	}
-}
-
 // TestTuneMatchesOnlinePredictSelection is the differential contract for
 // the governor's sweeper-based serving path: Tune on one device must pick
 // bit-for-bit the selection that the allocating OnlinePredict +
@@ -301,7 +286,7 @@ func TestTuneMatchesOnlinePredictSelection(t *testing.T) {
 	cfg := Config{Objective: objective.ED2P{}, Threshold: -1, ProfileSeed: 90}
 
 	devRef := sim.New(sim.GA100(), 91)
-	on, err := core.OnlinePredict(devRef, m, workloads.LAMMPS(), dcgm.Config{Seed: cfg.ProfileSeed})
+	on, err := core.OnlinePredict(devRef, m, workloads.LAMMPS(), dcgm.Config{Seed: cfg.ProfileSeed}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +318,7 @@ func TestTuneMatchesOnlinePredictSelection(t *testing.T) {
 
 	// Re-tunes accumulate the counter and keep matching (next tune uses the
 	// advanced seed schedule, so compare against a fresh reference).
-	on2, err := core.OnlinePredict(devRef, m, workloads.STREAM(), dcgm.Config{Seed: cfg.ProfileSeed + 1})
+	on2, err := core.OnlinePredict(devRef, m, workloads.STREAM(), dcgm.Config{Seed: cfg.ProfileSeed + 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +339,7 @@ func TestTuneMatchesOnlinePredictSelection(t *testing.T) {
 }
 
 // TestTuneGridMemAxis runs the governor over the full (core × mem) grid:
-// the selection must match the OnlinePredictGrid + SelectFrequency
+// the selection must match the OnlinePredict + SelectFrequency
 // formulation bit-for-bit, the device must end up pinned to the selected
 // memory P-state, and the clamp counters must carry the per-axis split.
 func TestTuneGridMemAxis(t *testing.T) {
@@ -363,7 +348,7 @@ func TestTuneGridMemAxis(t *testing.T) {
 	cfg := Config{Objective: objective.ED2P{}, Threshold: -1, ProfileSeed: 90, MemFreqs: arch.MemClocks()}
 
 	devRef := sim.New(sim.GA100(), 91)
-	on, err := core.OnlinePredictGrid(devRef, m, workloads.LAMMPS(), dcgm.Config{Seed: cfg.ProfileSeed}, arch.MemClocks())
+	on, err := core.OnlinePredict(devRef, m, workloads.LAMMPS(), dcgm.Config{Seed: cfg.ProfileSeed}, arch.MemClocks())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +367,7 @@ func TestTuneGridMemAxis(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got != want {
-		t.Fatalf("grid governor selection %+v diverged from OnlinePredictGrid selection %+v", got, want)
+		t.Fatalf("grid governor selection %+v diverged from OnlinePredict selection %+v", got, want)
 	}
 	if got.MemFreqMHz == 0 {
 		t.Fatal("grid selection carries no memory clock")
@@ -395,7 +380,7 @@ func TestTuneGridMemAxis(t *testing.T) {
 		t.Fatalf("clamp split %d core + %d mem does not sum to %d", s.ClampedCore, s.ClampedMem, s.Clamped)
 	}
 	if s.Clamped != on.Clamped || s.ClampedCore != on.ClampedCore || s.ClampedMem != on.ClampedMem {
-		t.Fatalf("governor clamps (%d core %d mem %d), OnlinePredictGrid (%d core %d mem %d)",
+		t.Fatalf("governor clamps (%d core %d mem %d), OnlinePredict (%d core %d mem %d)",
 			s.Clamped, s.ClampedCore, s.ClampedMem, on.Clamped, on.ClampedCore, on.ClampedMem)
 	}
 }

@@ -350,10 +350,8 @@ func TestRePinPathNoProfilingSymbols(t *testing.T) {
 	banned := map[string]bool{
 		"profileAtMax":       true,
 		"tuneFrom":           true,
-		"tunePhasedFrom":     true,
 		"tuneStep":           true,
 		"Tune":               true,
-		"TunePhased":         true,
 		"ProfileAtMax":       true,
 		"NewCollector":       true,
 		"CollectWorkload":    true,

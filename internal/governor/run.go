@@ -184,12 +184,7 @@ func (g *Governor) tuneStep(app backend.Workload, rep *RunReport) error {
 	rep.EnergyJoules += run.EnergyJoules
 	rep.TimeSeconds += run.ExecTimeSec
 
-	if g.cfg.PhasedTuning {
-		_, err = g.tunePhasedFrom(app, run, trace.Options{})
-	} else {
-		_, err = g.tuneFrom(app, run)
-	}
-	if err != nil {
+	if _, err := g.tuneFrom(app, run); err != nil {
 		return err
 	}
 	g.memoize(featureVariance(run.Samples))

@@ -133,29 +133,6 @@ func TestRunMultiTenantStaysCalm(t *testing.T) {
 	}
 }
 
-// TestRunPhasedTuning exercises the loop with dominant-phase tuning: it
-// must complete, tune at least once, and keep the device at a supported
-// clock.
-func TestRunPhasedTuning(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.PhasedTuning = true
-	dev := sim.New(sim.GA100(), 14)
-	g, err := New(dev, quickModels(t), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := g.Run(context.Background(), workloads.PhaseShifting(3, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TunedRuns < 1 || g.Stats().Tunes < 1 {
-		t.Fatalf("no tunes: %+v", rep)
-	}
-	if !sim.GA100().IsSupported(dev.Clock()) {
-		t.Fatalf("device left at unsupported clock %v", dev.Clock())
-	}
-}
-
 // TestRunMetrics wires a Metrics bundle through a shifting stream and
 // checks the counters track the report.
 func TestRunMetrics(t *testing.T) {

@@ -134,13 +134,13 @@ func sigterm(t *testing.T, name string, d *daemon) {
 	}
 	select {
 	case err := <-d.errc:
+		d.errc <- err // keep Cleanup's receive from blocking, on failure too
 		if err != nil {
 			t.Fatalf("%s exited non-zero after SIGTERM: %v", name, err)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatalf("%s did not drain within 15s of SIGTERM", name)
 	}
-	d.errc <- nil // keep Cleanup's receive from blocking
 }
 
 func soakSelect(client *http.Client, base, app string) ([]byte, int, error) {

@@ -42,12 +42,6 @@ func MulInto(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MulTA returns aᵀ·b as a new matrix without materializing aᵀ.
-// Bit-identical to Mul(a.T(), b).
-func MulTA(a, b *Matrix) *Matrix {
-	return MulTAInto(New(a.Cols, b.Cols), a, b)
-}
-
 // MulTAInto stores aᵀ·b into dst (a.Cols×b.Cols) and returns dst,
 // overwriting dst. Bit-identical to Mul(a.T(), b): for each output
 // element the products accumulate over k (rows of a) in increasing

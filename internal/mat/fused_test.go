@@ -34,12 +34,12 @@ func TestFusedKernelsBitIdentical(t *testing.T) {
 		got := MulTBInto(New(n, m), a, b)
 		assertBitEqual(t, "MulTBInto", want, got)
 
-		// MulTA: (k×n)ᵀ·(k×m).
+		// MulTAInto: (k×n)ᵀ·(k×m).
 		a2 := randMatrix(k, n, rng)
 		b2 := randMatrix(k, m, rng)
 		want = Mul(a2.T(), b2)
-		got = MulTA(a2, b2)
-		assertBitEqual(t, "MulTA", want, got)
+		got = MulTAInto(New(n, m), a2, b2)
+		assertBitEqual(t, "MulTAInto", want, got)
 
 		// MulInto vs Mul, with a dirty destination to check overwrite.
 		a3 := randMatrix(n, k, rng)
@@ -100,7 +100,7 @@ func TestColSumsInto(t *testing.T) {
 
 func TestFusedKernelDimensionPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"MulTA":            func() { MulTA(New(3, 2), New(4, 2)) },
+		"MulTAInto":        func() { MulTAInto(New(2, 2), New(3, 2), New(4, 2)) },
 		"MulTBInto":        func() { MulTBInto(New(3, 4), New(3, 2), New(4, 3)) },
 		"MulInto dst":      func() { MulInto(New(1, 1), New(3, 2), New(2, 3)) },
 		"MulTAInto dst":    func() { MulTAInto(New(1, 1), New(3, 2), New(3, 4)) },

@@ -97,23 +97,6 @@ func Mul(a, b *Matrix) *Matrix {
 	return out
 }
 
-// MulVec returns the matrix-vector product m*x.
-func MulVec(m *Matrix, x []float64) []float64 {
-	if m.Cols != len(x) {
-		panic(fmt.Sprintf("mat: dimension mismatch %dx%d * vec(%d)", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
-}
-
 // Add stores a+b into dst (all must share dimensions) and returns dst.
 func Add(dst, a, b *Matrix) *Matrix {
 	checkSame(a, b)

@@ -28,20 +28,6 @@ func BenchmarkMul256(b *testing.B) {
 	}
 }
 
-func BenchmarkMulVec256(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	m := randMat(rng, 256, 256)
-	v := make([]float64, 256)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MulVec(m, v)
-	}
-}
-
 func BenchmarkSolve64(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	a := randMat(rng, 64, 64)

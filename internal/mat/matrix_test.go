@@ -167,23 +167,6 @@ func TestMulTransposeProperty(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	m, _ := NewFromRows([][]float64{{1, 2}, {3, 4}})
-	got := MulVec(m, []float64{5, 6})
-	if got[0] != 17 || got[1] != 39 {
-		t.Fatalf("MulVec = %v", got)
-	}
-}
-
-func TestMulVecPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	MulVec(New(2, 2), []float64{1})
-}
-
 func TestAddSubHadamard(t *testing.T) {
 	a, _ := NewFromRows([][]float64{{1, 2}})
 	b, _ := NewFromRows([][]float64{{3, 5}})
@@ -289,7 +272,7 @@ func TestSolveRoundTrip(t *testing.T) {
 		for i := range x {
 			x[i] = r.NormFloat64()
 		}
-		b := MulVec(a, x)
+		b := Mul(a, &Matrix{Rows: n, Cols: 1, Data: x}).Data
 		got, err := Solve(a, b)
 		if err != nil {
 			return false

@@ -49,7 +49,7 @@ func newReplica(t testing.TB) *httptest.Server {
 		TDPWatts:   arch.TDPWatts,
 		MaxFreqMHz: arch.MaxFreqMHz,
 	}
-	sw, err := m.NewSweeper(arch, arch.DesignClocks())
+	sw, err := m.NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

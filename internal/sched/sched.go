@@ -146,7 +146,7 @@ type profiled struct {
 // worker ran it — which is what makes parallel profiling deterministic.
 func (p *Planner) profileJob(i int, j Job) profiled {
 	dev := p.dev.Fork(p.seed + int64(i)*101)
-	on, err := core.OnlinePredictGrid(dev, p.models, j.App, dcgm.Config{Seed: p.seed + int64(i)*101 + 1}, p.memFreqs)
+	on, err := core.OnlinePredict(dev, p.models, j.App, dcgm.Config{Seed: p.seed + int64(i)*101 + 1}, p.memFreqs)
 	if err != nil {
 		return profiled{err: fmt.Errorf("sched: profiling job %q: %w", j.Name, err)}
 	}

@@ -315,7 +315,7 @@ func TestHTTPMemAxisWireCompat(t *testing.T) {
 	}
 
 	arch := sim.GA100().Spec()
-	sw, err := testModels(t).NewGridSweeper(arch, arch.DesignClocks(), arch.MemClocks())
+	sw, err := testModels(t).NewSweeper(arch, arch.DesignClocks(), arch.MemClocks())
 	if err != nil {
 		t.Fatal(err)
 	}

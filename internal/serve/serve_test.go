@@ -47,7 +47,7 @@ func testModels(t testing.TB) *core.Models {
 func testSweeper(t testing.TB) *core.Sweeper {
 	t.Helper()
 	arch := sim.GA100().Spec()
-	sw, err := testModels(t).NewSweeper(arch, arch.DesignClocks())
+	sw, err := testModels(t).NewSweeper(arch, arch.DesignClocks(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestServerSelectDifferential(t *testing.T) {
 	}
 	want := make([]core.Selection, nRuns)
 	for i, r := range runs {
-		if want[i], _, err = ref.Select(r); err != nil {
+		if want[i], _, _, err = ref.Select(context.Background(), r); err != nil {
 			t.Fatal(err)
 		}
 	}

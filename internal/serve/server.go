@@ -66,7 +66,8 @@ func NewServer(sw *core.Sweeper, cfg ServerConfig) (*Server, error) {
 // returns the memoized selection; a miss rides a fused sweep. hit reports
 // which happened. ErrOverloaded comes back when the miss path is shedding.
 func (s *Server) Select(ctx context.Context, maxRun dcgm.Run) (core.Selection, bool, error) {
-	return s.cache.SelectCtx(ctx, maxRun)
+	sel, _, hit, err := s.cache.Select(ctx, maxRun)
+	return sel, hit, err
 }
 
 // Predict runs one design-space sweep through the batcher (no caching) and
