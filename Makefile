@@ -3,7 +3,7 @@ GO ?= go
 # Packages with dedicated concurrent paths: they get a -race pass in check.
 RACE_PKGS = ./internal/mat ./internal/nn ./internal/dcgm ./internal/mi ./internal/neighbors ./internal/stats ./internal/sched ./internal/backend/... ./internal/governor ./internal/trace ./internal/serve ./internal/fleet ./internal/router ./internal/obs
 
-.PHONY: all build test race alloc-pins bench-smoke bench-e2e-smoke bench-router bench-governor bench-phasecache fuzz-smoke vet fmt-check check api-report
+.PHONY: all build test race alloc-pins bench-smoke bench-e2e-smoke bench-governor bench-phasecache fuzz-smoke vet fmt-check check api-report
 
 all: build
 
@@ -33,7 +33,9 @@ race:
 # alloc-pins reruns every 0-alloc contract ten times at GOMAXPROCS=1 and
 # at GOMAXPROCS=2: the fleet event loop's steady segment, the plan-cache
 # and server hit paths, the sweeper's single and batched miss sweeps, and
-# the governor step and re-pin benchmarks.
+# the governor step and re-pin benchmarks. It also reruns the one nonzero
+# budget, the replica's per-request max-clock profiling run
+# (TestProfileAtMaxAllocs, 11 allocations).
 # Per-P runtime state (sync.Pool caches, goroutine migration between Ps)
 # only shows with more than one P, and only now and then. Each setting
 # gets its own process rather than -cpu 1,2: raising GOMAXPROCS inside a
@@ -47,7 +49,7 @@ race:
 alloc-pins:
 	for p in 1 2; do \
 		GOMAXPROCS=$$p $(GO) test -count=10 -run 'TestSimulateSteadyStateZeroAlloc' ./internal/fleet || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -count=10 -run 'ZeroAlloc' ./internal/core ./internal/serve || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=10 -run 'ZeroAlloc|ProfileAtMaxAllocs' ./internal/core ./internal/serve || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=10 -run '^$$' -bench 'GovernorStep|PhaseRePin' -benchtime=1x ./internal/governor || exit 1; \
 	done
 
@@ -87,13 +89,6 @@ bench-smoke:
 # About 6 s.
 bench-e2e-smoke:
 	cd bench && GOFLAGS= GOPROXY=off $(GO) test -count=1 .
-
-# bench-router records BENCH_router.json: the 1/2/4-replica scaling sweep
-# behind the dvfs-router front (in-process replicas on loopback sockets,
-# Zipf-skewed keys so the hit/miss split is visible). Not part of check —
-# run on a multi-core host for meaningful scaling numbers.
-bench-router:
-	$(GO) run ./cmd/dvfs-bench -load -load-replicas 1,2,4 -load-dist zipf -load-concurrency 8,16 -load-requests 2000 -load-out BENCH_router.json
 
 # bench-governor records BENCH_governor.json: the DVFS-policy comparison
 # (always-max / one-shot / streaming, plus streaming+memo) on a

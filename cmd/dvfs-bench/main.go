@@ -9,16 +9,8 @@
 //	dvfs-bench -ablations           # the ablation studies too
 //	dvfs-bench -out results/        # also write one .txt per artifact
 //
-// It also carries the concurrent-serving load generator (-load): closed-loop
-// workers drive the sharded-cache/micro-batch serving stack (or, with
-// -load-url, a running dvfs-served daemon) and report throughput with
-// p50/p99 latency per concurrency level:
-//
-//	dvfs-bench -load -load-out BENCH_concurrency.json
-//	dvfs-bench -load -load-url http://localhost:8080 -load-concurrency 4,16
-//
-// Both modes accept -cpuprofile and -memprofile, which write pprof
-// profiles of the whole run for `go tool pprof`:
+// It accepts -cpuprofile and -memprofile, which write pprof profiles of
+// the whole run for `go tool pprof`:
 //
 //	dvfs-bench -only tab3 -cpuprofile cpu.out -memprofile mem.out
 package main
@@ -52,17 +44,6 @@ func realMain() int {
 		workers   = flag.Int("workers", 0, "concurrent artifact builds (0 = GOMAXPROCS); output is identical for any value")
 		out       = flag.String("out", "", "directory to also write one .txt file per artifact")
 		markdown  = flag.Bool("md", false, "write .md (markdown tables) instead of .txt into -out")
-
-		load        = flag.Bool("load", false, "run the concurrent-serving load generator instead of the paper artifacts")
-		loadURL     = flag.String("load-url", "", "drive a running dvfs-served daemon at this base URL (default: in-process serving stack)")
-		loadURLs    = flag.String("load-urls", "", "drive a fleet of running dvfs-served daemons at these comma-separated base URLs with client-side consistent-hash routing")
-		loadReps    = flag.String("load-replicas", "", `replica-scaling sweep: boot each of these comma-separated replica counts (e.g. "1,2,4") as in-process dvfs-served fleets behind a dvfs-router front and load the front`)
-		loadConc    = flag.String("load-concurrency", "1,4,16", "comma-separated closed-loop worker counts")
-		loadReqs    = flag.Int("load-requests", 2000, "requests per scenario per concurrency level")
-		loadApps    = flag.String("load-apps", "DGEMM,STREAM,NW,LAMMPS,GROMACS,NAMD", "workload names cycled in -load-url mode")
-		loadDist    = flag.String("load-dist", "uniform", `workload-key distribution: "uniform" (all-miss, isolates the sweep path) or "zipf" (skewed repeats; reports the cache hit/miss split)`)
-		loadMems    = flag.String("mem-freqs", "", `memory P-states the local load scenarios sweep alongside core clocks: "all", or a comma-separated MHz list; empty sweeps the core axis only`)
-		loadOutPath = flag.String("load-out", "", "write the load report as JSON to this path (BENCH_serve.json shape)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this path (go tool pprof)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this path on exit (go tool pprof)")
@@ -100,13 +81,6 @@ func realMain() int {
 		}()
 	}
 
-	if *load {
-		if err := runLoad(*loadURL, *loadURLs, *loadReps, *loadConc, *loadApps, *loadDist, *loadMems, *loadReqs, *loadOutPath, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dvfs-bench:", err)
-			return 1
-		}
-		return 0
-	}
 	if err := run(*only, *ablations, *compare, *cv, *markdown, *seed, *runs, *workers, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "dvfs-bench:", err)
 		return 1

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,223 +52,5 @@ func TestRunMarkdownOutput(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "| study |") && !strings.Contains(string(data), "|---|") {
 		t.Fatalf("not markdown:\n%s", data)
-	}
-}
-
-func TestParseConcurrency(t *testing.T) {
-	got, err := parseConcurrency(" 16, 1 ,4 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 4 || got[2] != 16 {
-		t.Fatalf("parsed %v", got)
-	}
-	for _, bad := range []string{"", "0", "-2", "x", "1,,y"} {
-		if _, err := parseConcurrency(bad); err == nil {
-			t.Fatalf("concurrency %q accepted", bad)
-		}
-	}
-}
-
-func TestRunLoadValidation(t *testing.T) {
-	var sink strings.Builder
-	if err := runLoad("", "", "", "nope", "", "uniform", "", 10, "", &sink); err == nil {
-		t.Fatal("bad concurrency accepted")
-	}
-	if err := runLoad("", "", "", "1", "", "uniform", "", 0, "", &sink); err == nil {
-		t.Fatal("zero requests accepted")
-	}
-	if err := runLoad("", "", "", "1", "", "pareto", "", 10, "", &sink); err == nil {
-		t.Fatal("unknown distribution accepted")
-	}
-	if err := runLoad("", "", "", "1", "", "uniform", "999", 10, "", &sink); err == nil {
-		t.Fatal("unsupported memory clock accepted")
-	}
-	if err := runLoad("http://localhost:0", "", "", "1", "DGEMM", "uniform", "all", 10, "", &sink); err == nil {
-		t.Fatal("-mem-freqs with -load-url accepted")
-	}
-	if err := runLoad("http://localhost:0", "http://localhost:0", "", "1", "DGEMM", "uniform", "", 10, "", &sink); err == nil {
-		t.Fatal("-load-url together with -load-urls accepted")
-	}
-	if err := runLoad("", "http://localhost:0", "1", "1", "DGEMM", "uniform", "", 10, "", &sink); err == nil {
-		t.Fatal("-load-urls together with -load-replicas accepted")
-	}
-	if err := runLoad("", "", "0", "1", "DGEMM", "uniform", "", 10, "", &sink); err == nil {
-		t.Fatal("zero replica count accepted")
-	}
-	if err := runLoad("", "", "1", "1", " , ", "uniform", "", 10, "", &sink); err == nil {
-		t.Fatal("blank -load-apps accepted in replica mode")
-	}
-}
-
-func TestLoadKeys(t *testing.T) {
-	if keys, err := loadKeys("uniform", 100, 64); err != nil || keys != nil {
-		t.Fatalf("uniform: keys=%v err=%v, want nil, nil", keys, err)
-	}
-	keys, err := loadKeys("zipf", 1000, 64)
-	if err != nil || len(keys) != 1000 {
-		t.Fatalf("zipf: len=%d err=%v", len(keys), err)
-	}
-	// The sequence is deterministic and skewed: key 0 dominates.
-	again, _ := loadKeys("zipf", 1000, 64)
-	zeros := 0
-	for i, k := range keys {
-		if k != again[i] {
-			t.Fatal("zipf key sequence is not deterministic")
-		}
-		if k < 0 || k >= 64 {
-			t.Fatalf("key %d out of range [0,64)", k)
-		}
-		if k == 0 {
-			zeros++
-		}
-	}
-	// Uniform would give ~16/1000 per key; the Zipf head must dominate that.
-	if zeros < 100 {
-		t.Fatalf("zipf head key appears %d/1000 times, want clear skew over uniform's ~16", zeros)
-	}
-}
-
-// TestRunLoadLocal is the load generator end to end at toy sizes: all three
-// local scenarios run, the table prints, and the JSON report parses with
-// one result per scenario × concurrency level.
-func TestRunLoadLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real sweeps")
-	}
-	outPath := filepath.Join(t.TempDir(), "load.json")
-	var sink strings.Builder
-	if err := runLoad("", "", "", "1,2", "", "uniform", "", 8, outPath, &sink); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Description string `json:"description"`
-		Machine     string `json:"machine"`
-		Results     []struct {
-			Scenario      string  `json:"scenario"`
-			Concurrency   int     `json:"concurrency"`
-			Requests      int     `json:"requests"`
-			Hits          int     `json:"hits"`
-			Misses        int     `json:"misses"`
-			ThroughputRPS float64 `json:"throughput_rps"`
-			P99Ms         float64 `json:"p99_ms"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report does not parse: %v\n%s", err, data)
-	}
-	if len(report.Results) != 6 { // 3 scenarios x 2 concurrency levels
-		t.Fatalf("got %d results, want 6", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if r.ThroughputRPS <= 0 || r.P99Ms <= 0 || r.Requests != 8 {
-			t.Fatalf("degenerate result: %+v", r)
-		}
-		// Uniform keys over a capacity-1 cache: all misses, by construction.
-		if r.Hits != 0 || r.Misses != 8 {
-			t.Fatalf("uniform distribution should be all-miss, got %+v", r)
-		}
-	}
-	if !strings.Contains(sink.String(), "p99_ms") {
-		t.Fatal("table header missing from output")
-	}
-}
-
-// TestRunLoadZipf checks the skewed-key mode: the hot head of the Zipf
-// distribution repeats inside the cache's capacity, so every scenario and
-// concurrency level reports a hit/miss split that accounts for all
-// requests, with hits present.
-func TestRunLoadZipf(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real sweeps")
-	}
-	outPath := filepath.Join(t.TempDir(), "load.json")
-	var sink strings.Builder
-	if err := runLoad("", "", "", "1,2", "", "zipf", "", 32, outPath, &sink); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Results []struct {
-			Scenario string `json:"scenario"`
-			Requests int    `json:"requests"`
-			Shed     int    `json:"shed"`
-			Hits     int    `json:"hits"`
-			Misses   int    `json:"misses"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report does not parse: %v\n%s", err, data)
-	}
-	if len(report.Results) != 6 {
-		t.Fatalf("got %d results, want 6", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if r.Hits+r.Misses+r.Shed != r.Requests {
-			t.Fatalf("hit/miss/shed split does not account for all requests: %+v", r)
-		}
-		if r.Hits == 0 {
-			t.Fatalf("zipf head should produce cache hits: %+v", r)
-		}
-		if r.Misses == 0 {
-			t.Fatalf("zipf tail should produce cache misses: %+v", r)
-		}
-	}
-}
-
-// TestRunLoadReplicas boots the -load-replicas mode at toy sizes: real
-// loopback sockets, a dvfs-router front per replica count, and a report
-// with one result per count × concurrency level. Each workload name maps
-// to exactly one replica, so per-request outcomes are deterministic and
-// the hit/miss split accounts for every request.
-func TestRunLoadReplicas(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots real serving fleets")
-	}
-	outPath := filepath.Join(t.TempDir(), "load.json")
-	var sink strings.Builder
-	if err := runLoad("", "", "1,2", "1,2", "DGEMM,STREAM,NW", "uniform", "", 12, outPath, &sink); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Results []struct {
-			Scenario string `json:"scenario"`
-			Requests int    `json:"requests"`
-			Shed     int    `json:"shed"`
-			Hits     int    `json:"hits"`
-			Misses   int    `json:"misses"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report does not parse: %v\n%s", err, data)
-	}
-	if len(report.Results) != 4 { // 2 replica counts x 2 concurrency levels
-		t.Fatalf("got %d results, want 4", len(report.Results))
-	}
-	for _, r := range report.Results {
-		if !strings.Contains(r.Scenario, "dvfs-router over") {
-			t.Fatalf("unexpected scenario name %q", r.Scenario)
-		}
-		if r.Hits+r.Misses+r.Shed != r.Requests {
-			t.Fatalf("hit/miss/shed split does not account for all requests: %+v", r)
-		}
-		// 12 requests round-robin over 3 workloads: consistent hashing
-		// keeps a name on one replica's cache, so misses stay bounded by
-		// the name count regardless of replica count — doubled here
-		// because two closed-loop workers can race the same cold name.
-		if r.Misses > 6 {
-			t.Fatalf("more misses than distinct workloads — routing split a name across replicas: %+v", r)
-		}
 	}
 }

@@ -39,43 +39,61 @@ func newSampler(dev *gpusim.Device, cfg backend.SampleConfig) *sampler {
 }
 
 // Profile executes w once at the current clock and samples its telemetry.
-// It is the batch view of ProfileStream: the yielded samples are collected
-// into Run.Samples, so the two forms are byte-identical for equal sampler
-// state.
+// It is the batch view of ProfileStream: the samples the stream's loop
+// yields are collected into Run.Samples, so the two forms are
+// byte-identical for equal sampler state. The sample count is fixed once
+// the run has executed, so Run.Samples is allocated once, at its final
+// length.
 func (c *sampler) Profile(w backend.Workload, runIndex int) (backend.Run, error) {
-	var samples []backend.Sample
-	run, err := c.ProfileStream(w, runIndex, func(s backend.Sample) {
-		samples = append(samples, s)
-	})
+	e, err := c.execute(w, runIndex)
 	if err != nil {
 		return backend.Run{}, err
 	}
-	run.Samples = samples
-	return run, nil
+	samples := make([]backend.Sample, 0, e.samples())
+	c.emit(&e, func(s backend.Sample) { samples = append(samples, s) })
+	e.run.Samples = samples
+	return e.run, nil
 }
 
 // ProfileStream executes w once at the current clock and yields its
-// telemetry sample by sample. Sampling is phase resolved, as real 20 ms
-// DCGM telemetry is: intervals that land on GPU-busy stretches report the
-// undiluted kernel activities and the active power draw, intervals on
-// host-bound stretches report a near-idle GPU. Phases are interleaved with
-// Bresenham accumulation so the sample mix matches the run's busy fraction
-// exactly; the mean over samples therefore reproduces the whole-run
-// averages. Noise draws happen whether or not yield is nil, so a stream
-// that discards samples leaves the noise schedule identical to one that
-// keeps them.
+// telemetry sample by sample. Noise draws happen whether or not yield is
+// nil, so a stream that discards samples leaves the noise schedule
+// identical to one that keeps them.
 func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(backend.Sample)) (backend.Run, error) {
-	raw, err := asKernelProfile(w)
+	e, err := c.execute(w, runIndex)
 	if err != nil {
 		return backend.Run{}, err
+	}
+	c.emit(&e, yield)
+	return e.run, nil
+}
+
+// execution is one executed run and its sampling schedule: n 20 ms
+// intervals, one sample every stride of them.
+type execution struct {
+	run       backend.Run
+	exec      Execution
+	k         KernelProfile
+	n, stride int
+}
+
+// samples is the number of samples emit yields.
+func (e *execution) samples() int { return (e.n + e.stride - 1) / e.stride }
+
+// execute runs w once at the device's current clocks and fixes its
+// sampling schedule; it draws nothing from the telemetry noise stream.
+func (c *sampler) execute(w backend.Workload, runIndex int) (execution, error) {
+	raw, err := asKernelProfile(w)
+	if err != nil {
+		return execution{}, err
 	}
 	k, err := raw.WithInputScale(c.cfg.InputScale)
 	if err != nil {
-		return backend.Run{}, err
+		return execution{}, err
 	}
 	exec, err := c.dev.Execute(k)
 	if err != nil {
-		return backend.Run{}, err
+		return execution{}, err
 	}
 	// An off-default memory P-state is reported as a constant — P-state
 	// clocks do not wobble like boost clocks — so recording it draws
@@ -85,18 +103,7 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 	if mc := c.dev.MemClock(); mc != c.dev.Arch().MemClocks()[0] {
 		memMHz = mc
 	}
-	run := backend.Run{
-		Workload:      exec.Workload,
-		Arch:          exec.Arch,
-		FreqMHz:       exec.FreqMHz,
-		MemFreqMHz:    memMHz,
-		RunIndex:      runIndex,
-		ExecTimeSec:   exec.TimeSec,
-		AvgPowerWatts: exec.AvgPowerWatts,
-		EnergyJoules:  exec.EnergyJoules,
-	}
-	interval := c.cfg.Interval.Seconds()
-	n := int(exec.TimeSec / interval)
+	n := int(exec.TimeSec / c.cfg.Interval.Seconds())
 	if n < 1 {
 		n = 1
 	}
@@ -104,12 +111,41 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 	if c.cfg.MaxSamplesPerRun > 0 && n > c.cfg.MaxSamplesPerRun {
 		stride = (n + c.cfg.MaxSamplesPerRun - 1) / c.cfg.MaxSamplesPerRun
 	}
+	return execution{
+		run: backend.Run{
+			Workload:      exec.Workload,
+			Arch:          exec.Arch,
+			FreqMHz:       exec.FreqMHz,
+			MemFreqMHz:    memMHz,
+			RunIndex:      runIndex,
+			ExecTimeSec:   exec.TimeSec,
+			AvgPowerWatts: exec.AvgPowerWatts,
+			EnergyJoules:  exec.EnergyJoules,
+		},
+		exec:   exec,
+		k:      k,
+		n:      n,
+		stride: stride,
+	}, nil
+}
+
+// emit samples an executed run's telemetry, invoking yield (nil discards)
+// for each sample. Sampling is phase resolved, as real 20 ms DCGM
+// telemetry is: intervals that land on GPU-busy stretches report the
+// undiluted kernel activities and the active power draw, intervals on
+// host-bound stretches report a near-idle GPU. Phases are interleaved with
+// Bresenham accumulation so the sample mix matches the run's busy fraction
+// exactly; the mean over samples therefore reproduces the whole-run
+// averages.
+func (c *sampler) emit(e *execution, yield func(backend.Sample)) {
+	exec, k, memMHz := &e.exec, &e.k, e.run.MemFreqMHz
+	interval := c.cfg.Interval.Seconds()
 	st := exec.Steady
 	// Power ripple scales active power so that run-average power stays
 	// consistent with the executed run.
 	powerScale := exec.AvgPowerWatts / st.PowerWatts
 	phase := 0.5 // Bresenham accumulator; 0.5 centers the pattern
-	for i := 0; i < n; i += stride {
+	for i := 0; i < e.n; i += e.stride {
 		t := float64(i) * interval
 		// Each emitted sample stands for one 20 ms interval; accumulate
 		// the busy fraction once per sample so the active share of the
@@ -157,7 +193,6 @@ func (c *sampler) ProfileStream(w backend.Workload, runIndex int, yield func(bac
 			yield(s)
 		}
 	}
-	return run, nil
 }
 
 func (c *sampler) idleAct() float64 {

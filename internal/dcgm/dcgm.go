@@ -75,10 +75,10 @@ type Config struct {
 	Seed             int64         // telemetry sampling noise seed
 }
 
-func (c Config) withDefaults(arch backend.Arch) Config {
-	if c.Freqs == nil {
-		c.Freqs = arch.DesignClocks()
-	}
+// withDefaults fills every zero field but Freqs: a nil Freqs stays nil and
+// CollectWorkload resolves it, so the per-request single runs (ProfileAtMax,
+// Stream), which never sweep, do not build the design-clock list.
+func (c Config) withDefaults() Config {
 	if c.Runs == 0 {
 		c.Runs = 3
 	}
@@ -116,7 +116,7 @@ type Collector struct {
 // NewCollector returns a collector over dev with the given campaign
 // configuration.
 func NewCollector(dev backend.Device, cfg Config) *Collector {
-	cfg = cfg.withDefaults(dev.Arch())
+	cfg = cfg.withDefaults()
 	return &Collector{
 		dev:  dev,
 		ctrl: NewController(dev),
@@ -134,16 +134,20 @@ func NewCollector(dev backend.Device, cfg Config) *Collector {
 // exactly. The device clocks are restored afterwards.
 func (c *Collector) CollectWorkload(k backend.Workload) ([]Run, error) {
 	defer c.ctrl.Restore()
+	freqs := c.cfg.Freqs
+	if freqs == nil {
+		freqs = c.dev.Arch().DesignClocks()
+	}
 	if c.cfg.MemFreqs == nil {
-		return c.collectCoreSweep(k)
+		return c.collectCoreSweep(k, freqs)
 	}
 	defer c.ctrl.RestoreMem()
-	runs := make([]Run, 0, len(c.cfg.MemFreqs)*len(c.cfg.Freqs)*c.cfg.Runs)
+	runs := make([]Run, 0, len(c.cfg.MemFreqs)*len(freqs)*c.cfg.Runs)
 	for _, m := range c.cfg.MemFreqs {
 		if err := c.ctrl.ApplyMem(m); err != nil {
 			return nil, fmt.Errorf("dcgm: applying memory clock %v MHz for %s: %w", m, k.WorkloadName(), err)
 		}
-		sweep, err := c.collectCoreSweep(k)
+		sweep, err := c.collectCoreSweep(k, freqs)
 		if err != nil {
 			return nil, err
 		}
@@ -152,11 +156,11 @@ func (c *Collector) CollectWorkload(k backend.Workload) ([]Run, error) {
 	return runs, nil
 }
 
-// collectCoreSweep sweeps the configured core clocks at the device's
-// current memory state.
-func (c *Collector) collectCoreSweep(k backend.Workload) ([]Run, error) {
-	runs := make([]Run, 0, len(c.cfg.Freqs)*c.cfg.Runs)
-	for _, f := range c.cfg.Freqs {
+// collectCoreSweep sweeps the core clocks freqs at the device's current
+// memory state.
+func (c *Collector) collectCoreSweep(k backend.Workload, freqs []float64) ([]Run, error) {
+	runs := make([]Run, 0, len(freqs)*c.cfg.Runs)
+	for _, f := range freqs {
 		if err := c.ctrl.Apply(f); err != nil {
 			return nil, fmt.Errorf("dcgm: applying %v MHz for %s: %w", f, k.WorkloadName(), err)
 		}

@@ -507,3 +507,23 @@ func BenchmarkWriteJSON(b *testing.B) {
 		}
 	})
 }
+
+// TestProfileAtMaxAllocs pins the allocation budget of the per-request
+// max-clock profiling run. What is left depends on the request: the forked
+// device with its seeded run-noise source, the collector with its
+// controller and its sampler's seeded telemetry-noise source, the run's
+// samples (allocated once, at their final length) and the workload boxed
+// into its interface. The workload catalogue lookup and the design-clock
+// list cost nothing per request.
+func TestProfileAtMaxAllocs(t *testing.T) {
+	const budget = 11
+	a := &httpAPI{dev: sim.New(sim.GA100(), 3), seed: 11}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := a.profileAtMax("LAMMPS"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > budget {
+		t.Fatalf("profileAtMax allocates %v times per call, budget %d", allocs, budget)
+	}
+}

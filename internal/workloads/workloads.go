@@ -21,6 +21,7 @@ package workloads
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	sim "gpudvfs/internal/backend/sim"
 )
@@ -306,13 +307,23 @@ func All() []sim.KernelProfile {
 	return append(TrainingSet(), RealApps()...)
 }
 
+// byName indexes All by name, built once on first use. A KernelProfile
+// holds no references, so handing out copies of the indexed values is safe.
+var byName = sync.OnceValue(func() map[string]sim.KernelProfile {
+	all := All()
+	m := make(map[string]sim.KernelProfile, len(all))
+	for _, w := range all {
+		m[w.Name] = w
+	}
+	return m
+})
+
 // ByName returns the named workload profile (case-sensitive, as printed by
-// Names).
+// Names). A hit does not allocate: the serving daemon resolves a name on
+// every request.
 func ByName(name string) (sim.KernelProfile, error) {
-	for _, w := range All() {
-		if w.Name == name {
-			return w, nil
-		}
+	if w, ok := byName()[name]; ok {
+		return w, nil
 	}
 	return sim.KernelProfile{}, fmt.Errorf("workloads: unknown workload %q (have %v)", name, Names())
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	sim "gpudvfs/internal/backend/sim"
@@ -59,6 +60,38 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("NOPE"); err == nil {
 		t.Fatal("unknown workload accepted")
+	}
+}
+
+// TestByNameMatchesAll pins the name index against the catalogue it
+// indexes: every name resolves to its All entry, an unknown name keeps the
+// error text listing the catalogue, and a hit allocates nothing.
+func TestByNameMatchesAll(t *testing.T) {
+	all := All()
+	for _, name := range Names() {
+		got, err := ByName(name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", name, err)
+		}
+		found := false
+		for _, w := range all {
+			if w.Name == name {
+				found = true
+				if got != w {
+					t.Fatalf("ByName(%q) = %+v, All entry %+v", name, got, w)
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%q is in Names but not in All", name)
+		}
+	}
+	_, err := ByName("NOPE")
+	if want := fmt.Sprintf("workloads: unknown workload %q (have %v)", "NOPE", Names()); err == nil || err.Error() != want {
+		t.Fatalf("unknown name: err %v, want %q", err, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _, _ = ByName("LAMMPS") }); n != 0 {
+		t.Fatalf("ByName hit allocates %v times", n)
 	}
 }
 
